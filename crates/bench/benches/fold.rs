@@ -7,12 +7,22 @@
 //! replacements. The S1000 member is the check.sh smoke gate; a
 //! regression back to super-linear behavior shows up here as a
 //! hundreds-of-times slowdown, far outside criterion noise.
+//!
+//! `audit_fold_sweep_sta` runs the whole gate-level back end of a guarded
+//! flow on the S1000 netlist: the audit's `check` + `simulate_batch`,
+//! then `fold_constants`, `sweep` and `longest_path`. Those five calls
+//! need three topological orders (audit/fold share one, the folded and
+//! the swept netlists each need their own); a return to rebuilding the
+//! order per call shows up here as extra Kahn passes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dp_netlist::Netlist;
+use dp_bitvec::BitVec;
+use dp_netlist::{Library, Netlist};
 use dp_opt::fold_constants;
 use dp_synth::{run_flow, MergeStrategy, SynthConfig};
 use dp_testcases::scaling::scaling_design;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn synthesized(ops: usize) -> Netlist {
     let g = scaling_design(ops);
@@ -41,6 +51,28 @@ fn bench_fold(c: &mut Criterion) {
             })
         });
     }
+    let lib = Library::synthetic_025um();
+    // Fresh from synthesis, so every clone starts without a cached order.
+    let nl = synthesized(1000);
+    let mut rng = StdRng::seed_from_u64(1);
+    let lanes: Vec<Vec<BitVec>> = (0..8)
+        .map(|_| {
+            nl.inputs()
+                .iter()
+                .map(|(_, bits)| BitVec::from_fn(bits.len(), |_| rng.gen_bool(0.5)))
+                .collect()
+        })
+        .collect();
+    group.bench_with_input(BenchmarkId::new("audit_fold_sweep_sta", 1000), &nl, |b, nl| {
+        b.iter(|| {
+            let mut nl = nl.clone();
+            nl.check().expect("synthesized netlist is well formed");
+            let outputs = nl.simulate_batch(&lanes).expect("simulates");
+            fold_constants(&mut nl);
+            let swept = nl.sweep();
+            (outputs.len(), swept.longest_path(&lib).delay_ns)
+        })
+    });
     group.finish();
 }
 

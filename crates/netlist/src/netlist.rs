@@ -2,6 +2,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::sync::OnceLock;
 
 use crate::{CellKind, Drive, Library};
 
@@ -94,7 +95,7 @@ impl Gate {
 /// A flat combinational gate-level netlist with named multi-bit ports.
 ///
 /// See the [crate documentation](crate) for an example.
-#[derive(Debug, Clone, Default)]
+#[derive(Clone, Default)]
 pub struct Netlist {
     pub(crate) drivers: Vec<NetDriver>,
     pub(crate) fanout: Vec<u32>,
@@ -104,6 +105,25 @@ pub struct Netlist {
     /// Cached [const0, const1] net ids so constant lookups are O(1)
     /// instead of a scan over every driver.
     pub(crate) const_nets: [Option<NetId>; 2],
+    /// Memoized Kahn order (`None` = cyclic), filled on first use by
+    /// [`Netlist::topo_order`] and cleared by the structural edits: gate
+    /// creation and [`Netlist::rewire_gate_input`].
+    pub(crate) topo: OnceLock<Option<Vec<GateId>>>,
+}
+
+/// Derived state stays out of the rendering: two netlists with the same
+/// structure print the same whether or not either has its order cached.
+impl fmt::Debug for Netlist {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Netlist")
+            .field("drivers", &self.drivers)
+            .field("fanout", &self.fanout)
+            .field("gates", &self.gates)
+            .field("inputs", &self.inputs)
+            .field("outputs", &self.outputs)
+            .field("const_nets", &self.const_nets)
+            .finish()
+    }
 }
 
 /// Structural defects reported by [`Netlist::check`].
@@ -225,6 +245,7 @@ impl Netlist {
         }
         let ins = [inputs[0], inputs[inputs.len() - 1]];
         self.gates.push(Gate { kind, drive, ins, output });
+        self.topo.take();
         output
     }
 
@@ -267,7 +288,8 @@ impl Netlist {
         }
     }
 
-    /// Changes a gate's drive strength (the optimizer's sizing move).
+    /// Changes a gate's drive strength (the optimizer's sizing move). The
+    /// structure is untouched, so a cached topological order survives.
     pub fn set_drive(&mut self, gate: GateId, drive: Drive) {
         self.gates[gate.index()].drive = drive;
     }
@@ -302,6 +324,7 @@ impl Netlist {
         }
         self.fanout[old.index()] -= 1;
         self.fanout[new_net.index()] += 1;
+        self.topo.take();
     }
 
     /// Rewires one bit of a primary output bus to a different net.
@@ -375,7 +398,7 @@ impl Netlist {
             }
         }
         // Constants on demand.
-        let order = self.topo_gates().expect("sweep requires an acyclic netlist");
+        let order = self.topo_order().expect("sweep requires an acyclic netlist");
         let map_net = |out: &mut Netlist, net_map: &mut Vec<Option<NetId>>, n: NetId| {
             if let Some(m) = net_map[n.index()] {
                 return m;
@@ -390,7 +413,7 @@ impl Netlist {
             net_map[n.index()] = Some(m);
             m
         };
-        for g in order {
+        for &g in order {
             if !live[g.index()] {
                 continue;
             }
@@ -429,18 +452,32 @@ impl Netlist {
 
     /// Gates in a topological order (inputs to outputs).
     ///
+    /// The order is computed once and memoized: later calls, and every
+    /// pass that needs the order ([`Netlist::check`], simulation,
+    /// [`Netlist::sweep`], timing), borrow the same slice until a gate is
+    /// created or a gate input is rewired. Drive changes, output rewiring
+    /// and new input, constant or fresh nets leave it in place.
+    ///
     /// # Errors
     ///
     /// Returns [`NetlistError::Cyclic`] on a combinational loop.
-    pub fn topo_gates(&self) -> Result<Vec<GateId>, NetlistError> {
-        let mut indegree: Vec<usize> = self
+    pub fn topo_order(&self) -> Result<&[GateId], NetlistError> {
+        self.topo.get_or_init(|| self.kahn_order()).as_deref().ok_or(NetlistError::Cyclic)
+    }
+
+    /// Kahn's algorithm over the gate-consumer CSR; `None` on a cycle.
+    /// Enumeration order is load-bearing (`DESIGN.md` §15): the ready
+    /// stack is seeded in gate-id order and popped LIFO.
+    pub(crate) fn kahn_order(&self) -> Option<Vec<GateId>> {
+        // No cell has more than two inputs, so a byte holds any indegree.
+        let mut indegree: Vec<u8> = self
             .gates
             .iter()
             .map(|g| {
                 g.inputs()
                     .iter()
                     .filter(|&&n| matches!(self.drivers[n.index()], NetDriver::Gate(_)))
-                    .count()
+                    .count() as u8
             })
             .collect();
         let mut ready: Vec<GateId> =
@@ -460,17 +497,14 @@ impl Netlist {
                 }
             }
         }
-        if order.len() == self.gates.len() {
-            Ok(order)
-        } else {
-            Err(NetlistError::Cyclic)
-        }
+        (order.len() == self.gates.len()).then_some(order)
     }
 
     /// CSR gate-consumer index: `off[g]..off[g + 1]` slices `consumers`
     /// into the gates reading `g`'s output, in gate-id order.
     pub(crate) fn gate_consumers(&self) -> (Vec<u32>, Vec<GateId>) {
-        let mut off = vec![0u32; self.gates.len() + 1];
+        let n = self.gates.len();
+        let mut off = vec![0u32; n + 1];
         for g in &self.gates {
             for &input in g.inputs() {
                 if let NetDriver::Gate(src) = self.drivers[input.index()] {
@@ -481,16 +515,20 @@ impl Netlist {
         for i in 1..off.len() {
             off[i] += off[i - 1];
         }
-        let mut consumers = vec![GateId(0); off[self.gates.len()] as usize];
-        let mut cursor = off.clone();
+        // Fill using `off[src]` itself as the write cursor: afterwards
+        // `off[g]` holds the end of `g`'s run, i.e. the start of `g + 1`,
+        // so one shift right restores the offsets without a cursor copy.
+        let mut consumers = vec![GateId(0); off[n] as usize];
         for (i, g) in self.gates.iter().enumerate() {
             for &input in g.inputs() {
                 if let NetDriver::Gate(src) = self.drivers[input.index()] {
-                    consumers[cursor[src.index()] as usize] = GateId(i as u32);
-                    cursor[src.index()] += 1;
+                    consumers[off[src.index()] as usize] = GateId(i as u32);
+                    off[src.index()] += 1;
                 }
             }
         }
+        off.copy_within(0..n, 1);
+        off[0] = 0;
         (off, consumers)
     }
 
@@ -505,13 +543,16 @@ impl Netlist {
                 return Err(NetlistError::Undriven { net: NetId(i as u32) });
             }
         }
-        self.topo_gates().map(|_| ())
+        self.topo_order().map(|_| ())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn build_and_check() {
@@ -565,10 +606,145 @@ mod tests {
         let x = n.gate(CellKind::Inv, &[a]);
         let y = n.gate(CellKind::And2, &[x, a]);
         n.output("o", vec![y]);
-        let order = n.topo_gates().unwrap();
+        let order = n.topo_order().unwrap();
         let gx = n.driver_gate(x).unwrap();
         let gy = n.driver_gate(y).unwrap();
         let pos = |g: GateId| order.iter().position(|&o| o == g).unwrap();
         assert!(pos(gx) < pos(gy));
+    }
+
+    #[test]
+    fn debug_leaves_out_the_cached_order() {
+        let mut n = Netlist::new();
+        let a = n.input("a", 2);
+        let x = n.gate(CellKind::Nand2, &[a[0], a[1]]);
+        n.output("o", vec![x]);
+        let uncached = format!("{n:?}");
+        n.check().unwrap();
+        assert!(n.topo.get().is_some());
+        assert_eq!(format!("{n:?}"), uncached);
+        assert_eq!(format!("{:?}", n.clone()), uncached);
+    }
+
+    /// A random acyclic netlist: every gate reads nets created before it,
+    /// constants included.
+    fn random_netlist(rng: &mut StdRng, gates: usize) -> (Netlist, Vec<NetId>) {
+        let mut n = Netlist::new();
+        let mut nets = n.input("a", 3);
+        nets.push(n.const0());
+        for _ in 0..gates {
+            let kind = CellKind::ALL[rng.gen_range(0..CellKind::ALL.len())];
+            let ins: Vec<NetId> =
+                (0..kind.arity()).map(|_| nets[rng.gen_range(0..nets.len())]).collect();
+            nets.push(n.gate(kind, &ins));
+        }
+        let outs = nets.iter().rev().take(4).copied().collect();
+        n.output("o", outs);
+        (n, nets)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Under random edit sequences the memoized order always equals a
+        /// fresh Kahn pass; structural edits (gate creation, input
+        /// rewiring) clear the cache and every other edit keeps it.
+        #[test]
+        fn memoized_order_tracks_every_edit(seed in any::<u64>(), gates in 0usize..40, steps in 1usize..60) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (mut n, mut nets) = random_netlist(&mut rng, gates);
+            for step in 0..steps {
+                let cached = n.topo.get().is_some();
+                let structural = match rng.gen_range(0..6) {
+                    0 => {
+                        let kind = CellKind::ALL[rng.gen_range(0..CellKind::ALL.len())];
+                        let ins: Vec<NetId> = (0..kind.arity())
+                            .map(|_| nets[rng.gen_range(0..nets.len())])
+                            .collect();
+                        nets.push(n.gate(kind, &ins));
+                        true
+                    }
+                    1 if n.num_gates() > 0 => {
+                        let g = GateId(rng.gen_range(0..n.num_gates() as u32));
+                        let pin = rng.gen_range(0..n.gate_info(g).0.arity());
+                        // Mostly an earlier net (keeps the netlist acyclic),
+                        // sometimes any net (may close a loop).
+                        let bound = if rng.gen_bool(0.8) {
+                            n.gate_output(g).index()
+                        } else {
+                            n.num_nets()
+                        };
+                        let net = NetId(rng.gen_range(0..bound.max(1)) as u32);
+                        let changed = n.gate_inputs(g)[pin] != net;
+                        n.rewire_gate_input(g, pin, net);
+                        changed
+                    }
+                    2 if n.num_gates() > 0 => {
+                        let g = GateId(rng.gen_range(0..n.num_gates() as u32));
+                        n.set_drive(g, [Drive::X1, Drive::X2, Drive::X4][rng.gen_range(0..3)]);
+                        false
+                    }
+                    3 => {
+                        let bit = rng.gen_range(0..n.outputs()[0].1.len());
+                        n.rewire_output_bit(0, bit, nets[rng.gen_range(0..nets.len())]);
+                        false
+                    }
+                    4 => {
+                        nets.push(if rng.gen_bool(0.5) { n.const0() } else { n.const1() });
+                        false
+                    }
+                    _ => {
+                        nets.push(n.fresh_net());
+                        false
+                    }
+                };
+                prop_assert_eq!(
+                    n.topo.get().is_some(),
+                    cached && !structural,
+                    "step {} structural {}", step, structural
+                );
+                if rng.gen_bool(0.7) {
+                    let fresh = n.kahn_order();
+                    prop_assert_eq!(n.topo_order().ok().map(<[GateId]>::to_vec), fresh);
+                }
+            }
+            let order = n.topo_order().ok().map(<[GateId]>::to_vec);
+            prop_assert_eq!(&order, &n.kahn_order());
+            let copy = n.clone();
+            prop_assert_eq!(copy.topo.get().cloned(), Some(order));
+        }
+
+        /// Closing a loop after the order was cached must surface as
+        /// `Cyclic` from every entry point, not serve the stale order.
+        #[test]
+        fn cycle_closed_after_caching_is_reported(seed in any::<u64>(), gates in 1usize..40) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (mut n, _) = random_netlist(&mut rng, gates);
+            prop_assert_eq!(n.check(), Ok(()));
+            prop_assert!(n.topo.get().is_some());
+            // Feed a gate from its own output or from a gate downstream of
+            // it: gates only read earlier nets, so one forward scan in id
+            // order finds the whole fanout cone.
+            let g = rng.gen_range(0..n.num_gates());
+            let mut cone = vec![false; n.num_nets()];
+            cone[n.gates[g].output.index()] = true;
+            let mut sinks = vec![n.gates[g].output];
+            for gate in &n.gates[g + 1..] {
+                if gate.inputs().iter().any(|i| cone[i.index()]) {
+                    cone[gate.output.index()] = true;
+                    sinks.push(gate.output);
+                }
+            }
+            let gid = GateId(g as u32);
+            let pin = rng.gen_range(0..n.gate_info(gid).0.arity());
+            n.rewire_gate_input(gid, pin, sinks[rng.gen_range(0..sinks.len())]);
+            prop_assert_eq!(n.topo_order(), Err(NetlistError::Cyclic));
+            prop_assert_eq!(n.check(), Err(NetlistError::Cyclic));
+            let lane = vec![dp_bitvec::BitVec::zero(3)];
+            prop_assert_eq!(
+                n.simulate_batch(&[lane]),
+                Err(crate::SimError::Invalid(NetlistError::Cyclic))
+            );
+        }
     }
 }

@@ -37,7 +37,7 @@ impl Netlist {
     /// [`Netlist::check`] first for a graceful error.
     pub fn arrival_times(&self, lib: &Library) -> ArrivalTimes {
         let mut at = vec![0.0f64; self.num_nets()];
-        for g in self.topo_gates().expect("timing needs an acyclic netlist") {
+        for &g in self.topo_order().expect("timing needs an acyclic netlist") {
             let gate = &self.gates[g.index()];
             let input_at = gate.inputs().iter().map(|&n| at[n.index()]).fold(0.0f64, f64::max);
             let d = lib.delay_ns(gate.kind, gate.drive, self.fanout_of(gate.output));
@@ -48,7 +48,11 @@ impl Netlist {
 
     /// Longest input-to-output path delay and per-output summary.
     pub fn longest_path(&self, lib: &Library) -> TimingReport {
-        let at = self.arrival_times(lib);
+        self.timing_report(&self.arrival_times(lib))
+    }
+
+    /// The [`TimingReport`] of already computed arrival times.
+    fn timing_report(&self, at: &ArrivalTimes) -> TimingReport {
         let mut report =
             TimingReport { delay_ns: 0.0, critical_output: None, per_output: Vec::new() };
         for (name, bits) in self.outputs() {
@@ -75,7 +79,7 @@ impl Netlist {
         let at = self.arrival_times(lib);
         // Start at the worst output bit's driver and walk backwards,
         // always following the latest-arriving input.
-        let report = self.longest_path(lib);
+        let report = self.timing_report(&at);
         let Some((name, bit)) = report.critical_output else {
             return Vec::new();
         };
@@ -103,7 +107,7 @@ impl Netlist {
     /// sizing.
     pub fn critical_gates(&self, lib: &Library, slack_ns: f64) -> Vec<crate::GateId> {
         let at = self.arrival_times(lib);
-        let worst = self.longest_path(lib).delay_ns;
+        let worst = self.timing_report(&at).delay_ns;
         // Backward required-time sweep: required(net) = worst at outputs.
         let mut required = vec![f64::INFINITY; self.num_nets()];
         for (_, bits) in self.outputs() {
@@ -111,7 +115,7 @@ impl Netlist {
                 required[b.index()] = worst;
             }
         }
-        let order = self.topo_gates().expect("checked");
+        let order = self.topo_order().expect("arrival times above proved the netlist acyclic");
         for &g in order.iter().rev() {
             let gate = &self.gates[g.index()];
             let d = lib.delay_ns(gate.kind, gate.drive, self.fanout_of(gate.output));
@@ -126,7 +130,8 @@ impl Netlist {
             }
         }
         order
-            .into_iter()
+            .iter()
+            .copied()
             .filter(|&g| {
                 let out = self.gates[g.index()].output;
                 let slack = required[out.index()] - at.at(out);
@@ -176,7 +181,7 @@ impl IncrementalSta {
     ///
     /// Returns [`NetlistError::Cyclic`] on a combinational loop.
     pub fn new(nl: &Netlist, lib: &Library) -> Result<IncrementalSta, NetlistError> {
-        let order = nl.topo_gates()?;
+        let order = nl.topo_order()?.to_vec();
         let mut pos = vec![0u32; nl.num_gates()];
         for (i, &g) in order.iter().enumerate() {
             pos[g.index()] = i as u32;

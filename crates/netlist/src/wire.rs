@@ -260,7 +260,15 @@ impl Netlist {
                 fanout[b.index()] += 1;
             }
         }
-        Ok(Netlist { drivers, fanout, gates, inputs, outputs, const_nets })
+        Ok(Netlist {
+            drivers,
+            fanout,
+            gates,
+            inputs,
+            outputs,
+            const_nets,
+            topo: Default::default(),
+        })
     }
 }
 

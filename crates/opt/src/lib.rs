@@ -243,7 +243,9 @@ pub fn fold_constants(nl: &mut Netlist) {
 /// identical to its input. At most some fanout-free constant nets created
 /// during the scan are left behind, and [`Netlist::sweep`] drops them.
 pub fn fold_constants_watched(nl: &mut Netlist, wd: &Watchdog) -> bool {
-    let Ok(order) = nl.topo_gates() else {
+    // An owned copy of the memoized order: the scan below adds constant
+    // nets (which keep the order valid) through `&mut`.
+    let Ok(order) = nl.topo_order().map(<[GateId]>::to_vec) else {
         // A combinational cycle defeats topological scheduling; fall back
         // to the fixpoint scanner, which needs no order.
         return fold_sweeping_watched(nl, wd);
@@ -657,7 +659,7 @@ mod tests {
 
     #[test]
     fn watched_fold_covers_the_cyclic_fallback() {
-        // A combinational cycle defeats topo_gates, sending the watched
+        // A combinational cycle defeats topo_order, sending the watched
         // fold through the sweeping fallback.
         let build = || {
             let mut n = Netlist::new();

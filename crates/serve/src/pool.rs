@@ -83,13 +83,14 @@ impl fmt::Display for WorkerError {
 
 impl std::error::Error for WorkerError {}
 
-/// Runs `count` jobs on a pool of `jobs` worker threads pulling indices
-/// from a shared counter. Worker `i` writes only slot `i`, so the
-/// returned vector — and anything assembled from it in order — is
-/// independent of scheduling. A panicking job becomes an `Err` slot with
-/// the [`PANIC_FAMILY`] taxonomy (and must not take down its worker,
-/// which would silently drop every job that worker would have pulled
-/// next).
+/// Runs `count` jobs on a pool of `jobs` workers (clamped to
+/// `1..=count`) pulling indices from a shared counter. The calling thread
+/// is one of the workers; the other `jobs - 1` are scoped threads. Worker
+/// `i` writes only slot `i`, so the returned vector — and anything
+/// assembled from it in order — is independent of scheduling. A
+/// panicking job becomes an `Err` slot with the [`PANIC_FAMILY`] taxonomy
+/// (and must not take down its worker, which would silently drop every
+/// job that worker would have pulled next).
 pub fn run_slots<T, F>(count: usize, jobs: usize, run: F) -> Vec<Result<T, WorkerError>>
 where
     T: Send,
@@ -98,19 +99,23 @@ where
     let slots: Vec<Mutex<Option<Result<T, WorkerError>>>> =
         (0..count).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
-    let jobs = jobs.clamp(1, count.max(1));
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= count {
-                    break;
-                }
-                let out = catch_unwind(AssertUnwindSafe(|| run(i)))
-                    .unwrap_or_else(|payload| Err(WorkerError::from_panic(payload.as_ref())));
-                *slots[i].lock().unwrap_or_else(|p| p.into_inner()) = Some(out);
-            });
+    let worker = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= count {
+            break;
         }
+        let out = catch_unwind(AssertUnwindSafe(|| run(i)))
+            .unwrap_or_else(|payload| Err(WorkerError::from_panic(payload.as_ref())));
+        *slots[i].lock().unwrap_or_else(|p| p.into_inner()) = Some(out);
+    };
+    let jobs = jobs.clamp(1, count.max(1));
+    // The calling thread is one of the workers, so a one-worker pool
+    // spawns no thread at all.
+    std::thread::scope(|scope| {
+        for _ in 1..jobs {
+            scope.spawn(worker);
+        }
+        worker();
     });
     slots
         .into_iter()
@@ -140,6 +145,26 @@ mod tests {
         assert_eq!(one, four);
         assert_eq!(one[2], Ok(4));
         assert_eq!(one[3], Err(WorkerError::new("analysis", 6, "boom")));
+    }
+
+    #[test]
+    fn a_single_worker_runs_on_the_calling_thread() {
+        let me = std::thread::current().id();
+        let on = |i: usize| -> Result<_, WorkerError> { Ok((i, std::thread::current().id())) };
+        // `jobs` = 1, and `jobs` > 1 clamped to one job's worth.
+        for out in [run_slots(3, 1, on), run_slots(1, 4, on)] {
+            for (i, slot) in out.into_iter().enumerate() {
+                assert_eq!(slot, Ok((i, me)));
+            }
+        }
+        let caught = run_slots(2, 1, |i| -> Result<usize, WorkerError> {
+            if i == 0 {
+                panic!("inline job exploded");
+            }
+            Ok(i)
+        });
+        assert!(caught[0].as_ref().is_err_and(WorkerError::is_panic));
+        assert_eq!(caught[1], Ok(1), "the calling thread survives a caught panic");
     }
 
     #[test]

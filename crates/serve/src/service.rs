@@ -455,7 +455,11 @@ impl Service {
             budget = budget.with_deadline(Instant::now() + Duration::from_millis(ms));
         }
         if let Some(mb) = req.max_live_mb.or(self.opts.max_live_mb) {
-            budget = budget.with_memory_ceiling(mb.saturating_mul(1 << 20));
+            // The ceiling bounds this request's own heap growth. The pool
+            // may run the request on the calling thread, whose live bytes
+            // already count the caller's heap, so arm it above that.
+            let base = dp_metrics::alloc_probe().map_or(0, |p| p.stats().live_bytes);
+            budget = budget.with_memory_ceiling(base.saturating_add(mb.saturating_mul(1 << 20)));
         }
 
         let cached = self.store.is_some() && !req.no_cache;

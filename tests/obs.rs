@@ -115,6 +115,26 @@ fn degradations_counter_block_reaches_flow_metrics_json() {
     assert!(json.contains("\"degradations\":{\"FALLBACK-"), "{json}");
 }
 
+#[test]
+fn serve_memory_ceiling_counts_only_the_request_on_an_inline_worker() {
+    use datapath_merge::serve::{ServeOptions, Service};
+    obs::install();
+    // With one worker the request runs on this thread, so the live heap
+    // the caller already holds must not count against the request.
+    let held = vec![1u8; 32 << 20];
+    let service = Service::new(ServeOptions::default());
+    let serve = |req: &str| {
+        let mut out = Vec::new();
+        service.serve_lines(req.as_bytes(), &mut out).expect("serve");
+        String::from_utf8(out).expect("utf8")
+    };
+    let roomy = serve("{\"id\":\"a\",\"design\":\"fig1\",\"max_live_mb\":16}\n");
+    assert!(roomy.contains("\"outcome\":\"ok\""), "{roomy}");
+    let tight = serve("{\"id\":\"b\",\"design\":\"fig1\",\"max_live_mb\":0}\n");
+    assert!(tight.contains("\"outcome\":\"memory\""), "{tight}");
+    assert_eq!(held.len(), 32 << 20);
+}
+
 fn graph_strategy() -> impl Strategy<Value = (u64, usize, usize)> {
     (any::<u64>(), 2usize..5, 4usize..16)
 }
