@@ -109,6 +109,33 @@ pub struct Netlist {
     /// [`Netlist::topo_order`] and cleared by the structural edits: gate
     /// creation and [`Netlist::rewire_gate_input`].
     pub(crate) topo: OnceLock<Option<Vec<GateId>>>,
+    /// Set once a rewire may have pointed a gate input at a net driven by
+    /// the same or a later gate. While clear, gate-id (creation) order is
+    /// a topological order: a new gate can only read nets that already
+    /// exist. Conservative: only the DPN1 decoder's scan clears it.
+    pub(crate) back_edge: bool,
+}
+
+/// The gates in an evaluation order (every gate after the producers of
+/// its inputs), as returned by [`Netlist::eval_order`].
+#[derive(Clone)]
+pub(crate) enum EvalOrder<'a> {
+    /// Gate-id order, topological while no back edge was wired in.
+    Creation(std::ops::Range<u32>),
+    /// The memoized Kahn order.
+    Kahn(std::slice::Iter<'a, GateId>),
+}
+
+impl Iterator for EvalOrder<'_> {
+    type Item = GateId;
+
+    #[inline]
+    fn next(&mut self) -> Option<GateId> {
+        match self {
+            EvalOrder::Creation(ids) => ids.next().map(GateId),
+            EvalOrder::Kahn(order) => order.next().copied(),
+        }
+    }
 }
 
 /// Derived state stays out of the rendering: two netlists with the same
@@ -305,7 +332,9 @@ impl Netlist {
     }
 
     /// Rewires one input pin of a gate to a different net, keeping fanout
-    /// counts consistent (the optimizer's buffering/folding move).
+    /// counts consistent (the optimizer's buffering/folding move). A net
+    /// driven by this gate or a later one makes gate-id order no longer
+    /// topological, so the order-free passes fall back to the Kahn order.
     ///
     /// # Panics
     ///
@@ -324,6 +353,9 @@ impl Netlist {
         }
         self.fanout[old.index()] -= 1;
         self.fanout[new_net.index()] += 1;
+        if matches!(self.drivers[new_net.index()], NetDriver::Gate(src) if src >= gate) {
+            self.back_edge = true;
+        }
         self.topo.take();
     }
 
@@ -363,7 +395,67 @@ impl Netlist {
     /// Rebuilds the netlist keeping only gates reachable from the primary
     /// outputs (dead-code elimination). Port names, widths and order are
     /// preserved; net and gate ids are renumbered.
+    ///
+    /// Live gates are renumbered in the Kahn order of the live gates alone,
+    /// which is exactly the full Kahn order with the dead gates left out:
+    /// dead gates only ever enable other dead gates, so they never reorder
+    /// live ones, and the dead majority of a synthesized netlist is never
+    /// ordered at all.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the live gates form a combinational cycle.
     pub fn sweep(&self) -> Netlist {
+        let live = self.live_gates();
+        let order = self.live_kahn_order(&live).expect("sweep requires an acyclic netlist");
+        let live_gates = order.len();
+        // Each live gate drives one net; ports and constants add a handful.
+        let mut out =
+            Netlist::with_capacity(live_gates + self.drivers.len() - self.gates.len(), live_gates);
+        let mut net_map: Vec<Option<NetId>> = vec![None; self.drivers.len()];
+        for (name, bits) in &self.inputs {
+            let new_bits = out.input(name.clone(), bits.len());
+            for (k, &b) in bits.iter().enumerate() {
+                net_map[b.index()] = Some(new_bits[k]);
+            }
+        }
+        // Constants on demand.
+        let map_net = |out: &mut Netlist, net_map: &mut Vec<Option<NetId>>, n: NetId| {
+            if let Some(m) = net_map[n.index()] {
+                return m;
+            }
+            let m = match self.drivers[n.index()] {
+                NetDriver::Const(true) => Some(out.const1()),
+                NetDriver::Const(false) => Some(out.const0()),
+                _ => None,
+            };
+            let m =
+                m.expect("topological order maps every non-constant net before its first reader");
+            net_map[n.index()] = Some(m);
+            m
+        };
+        for g in order {
+            let gate = self.gates[g.index()];
+            // Fixed-size scratch: rebuilding a million-gate netlist must
+            // not allocate per gate.
+            let mut inputs = [NetId(0); 2];
+            let arity = gate.kind.arity();
+            for (slot, &n) in inputs.iter_mut().zip(gate.inputs()) {
+                *slot = map_net(&mut out, &mut net_map, n);
+            }
+            let new_out = out.gate_with_drive(gate.kind, gate.drive, &inputs[..arity]);
+            net_map[gate.output.index()] = Some(new_out);
+        }
+        for (name, bits) in &self.outputs {
+            let new_bits: Vec<NetId> =
+                bits.iter().map(|&b| map_net(&mut out, &mut net_map, b)).collect();
+            out.output(name.clone(), new_bits);
+        }
+        out
+    }
+
+    /// `live[g]`: gate `g` lies in the fanin cone of a primary output.
+    pub(crate) fn live_gates(&self) -> Vec<bool> {
         let mut live = vec![false; self.gates.len()];
         let mut stack: Vec<GateId> = Vec::new();
         for (_, bits) in &self.outputs {
@@ -386,54 +478,16 @@ impl Netlist {
                 }
             }
         }
-        let live_gates = live.iter().filter(|&&l| l).count();
-        // Each live gate drives one net; ports and constants add a handful.
-        let mut out =
-            Netlist::with_capacity(live_gates + self.drivers.len() - self.gates.len(), live_gates);
-        let mut net_map: Vec<Option<NetId>> = vec![None; self.drivers.len()];
-        for (name, bits) in &self.inputs {
-            let new_bits = out.input(name.clone(), bits.len());
-            for (k, &b) in bits.iter().enumerate() {
-                net_map[b.index()] = Some(new_bits[k]);
-            }
-        }
-        // Constants on demand.
-        let order = self.topo_order().expect("sweep requires an acyclic netlist");
-        let map_net = |out: &mut Netlist, net_map: &mut Vec<Option<NetId>>, n: NetId| {
-            if let Some(m) = net_map[n.index()] {
-                return m;
-            }
-            let m = match self.drivers[n.index()] {
-                NetDriver::Const(true) => Some(out.const1()),
-                NetDriver::Const(false) => Some(out.const0()),
-                _ => None,
-            };
-            let m =
-                m.expect("topological order maps every non-constant net before its first reader");
-            net_map[n.index()] = Some(m);
-            m
-        };
-        for &g in order {
-            if !live[g.index()] {
-                continue;
-            }
-            let gate = self.gates[g.index()];
-            // Fixed-size scratch: rebuilding a million-gate netlist must
-            // not allocate per gate.
-            let mut inputs = [NetId(0); 2];
-            let arity = gate.kind.arity();
-            for (slot, &n) in inputs.iter_mut().zip(gate.inputs()) {
-                *slot = map_net(&mut out, &mut net_map, n);
-            }
-            let new_out = out.gate_with_drive(gate.kind, gate.drive, &inputs[..arity]);
-            net_map[gate.output.index()] = Some(new_out);
-        }
-        for (name, bits) in &self.outputs {
-            let new_bits: Vec<NetId> =
-                bits.iter().map(|&b| map_net(&mut out, &mut net_map, b)).collect();
-            out.output(name.clone(), new_bits);
-        }
-        out
+        live
+    }
+
+    /// Kahn's algorithm over the gates `live` marks; `None` on a cycle
+    /// among them. A live gate's producers are live, so this is
+    /// [`Netlist::kahn_order`] with the dead gates filtered out.
+    pub(crate) fn live_kahn_order(&self, live: &[bool]) -> Option<Vec<GateId>> {
+        let keep = |i: usize| live[i];
+        let (off, consumers) = self.gate_consumers(keep);
+        self.kahn(keep, &off, &consumers)
     }
 
     /// Total cell area in normalized library units.
@@ -450,13 +504,35 @@ impl Netlist {
             .collect()
     }
 
-    /// Gates in a topological order (inputs to outputs).
+    /// Whether gate-id (creation) order is known to be a topological
+    /// order. It is unless [`Netlist::rewire_gate_input`] pointed a pin at
+    /// a net driven by the same or a later gate; passes whose result does
+    /// not depend on which topological order they walk use creation order
+    /// while this holds and [`Netlist::topo_order`] otherwise.
+    pub fn creation_order_is_topological(&self) -> bool {
+        !self.back_edge
+    }
+
+    /// The gates in an order that visits every gate after the producers of
+    /// its inputs: creation order when that is topological (no Kahn pass,
+    /// no allocation), the memoized Kahn order otherwise.
+    pub(crate) fn eval_order(&self) -> Result<EvalOrder<'_>, NetlistError> {
+        if self.back_edge {
+            self.topo_order().map(|order| EvalOrder::Kahn(order.iter()))
+        } else {
+            Ok(EvalOrder::Creation(0..self.gates.len() as u32))
+        }
+    }
+
+    /// Gates in the Kahn topological order (inputs to outputs).
     ///
-    /// The order is computed once and memoized: later calls, and every
-    /// pass that needs the order ([`Netlist::check`], simulation,
-    /// [`Netlist::sweep`], timing), borrow the same slice until a gate is
-    /// created or a gate input is rewired. Drive changes, output rewiring
-    /// and new input, constant or fresh nets leave it in place.
+    /// The order is computed once and memoized: later calls borrow the
+    /// same slice until a gate is created or a gate input is rewired.
+    /// Drive changes, output rewiring and new input, constant or fresh
+    /// nets leave it in place. Passes whose output order matters
+    /// ([`Netlist::critical_gates`]) read it; the order-free ones walk
+    /// creation order instead whenever
+    /// [`Netlist::creation_order_is_topological`] holds.
     ///
     /// # Errors
     ///
@@ -465,29 +541,42 @@ impl Netlist {
         self.topo.get_or_init(|| self.kahn_order()).as_deref().ok_or(NetlistError::Cyclic)
     }
 
-    /// Kahn's algorithm over the gate-consumer CSR; `None` on a cycle.
-    /// Enumeration order is load-bearing (`DESIGN.md` §15): the ready
-    /// stack is seeded in gate-id order and popped LIFO.
+    /// Kahn's algorithm over every gate; `None` on a cycle.
     pub(crate) fn kahn_order(&self) -> Option<Vec<GateId>> {
+        let (off, consumers) = self.gate_consumers(|_| true);
+        self.kahn(|_| true, &off, &consumers)
+    }
+
+    /// Kahn's algorithm over the gates `keep` admits, given their consumer
+    /// CSR from [`Netlist::gate_consumers`]; `None` on a cycle. Every
+    /// producer of an admitted gate must be admitted too. Enumeration
+    /// order is load-bearing (`DESIGN.md` §15): the ready stack is seeded
+    /// in gate-id order and popped LIFO.
+    pub(crate) fn kahn(
+        &self,
+        keep: impl Fn(usize) -> bool,
+        off: &[u32],
+        consumers: &[GateId],
+    ) -> Option<Vec<GateId>> {
         // No cell has more than two inputs, so a byte holds any indegree.
-        let mut indegree: Vec<u8> = self
-            .gates
-            .iter()
-            .map(|g| {
-                g.inputs()
-                    .iter()
-                    .filter(|&&n| matches!(self.drivers[n.index()], NetDriver::Gate(_)))
-                    .count() as u8
-            })
-            .collect();
-        let mut ready: Vec<GateId> =
-            (0..self.gates.len() as u32).map(GateId).filter(|g| indegree[g.index()] == 0).collect();
-        // Consumers of each gate's output, as one CSR structure (no
-        // per-gate Vec allocations). `off[g]..off[g + 1]` lists the gates
-        // reading `g`'s output, in gate-id order — the same order the old
-        // per-gate lists were filled in, so traversal order is unchanged.
-        let (off, consumers) = self.gate_consumers();
-        let mut order = Vec::with_capacity(self.gates.len());
+        let mut indegree = vec![0u8; self.gates.len()];
+        let mut ready: Vec<GateId> = Vec::new();
+        let mut kept = 0;
+        for (i, g) in self.gates.iter().enumerate() {
+            if !keep(i) {
+                continue;
+            }
+            kept += 1;
+            indegree[i] = g
+                .inputs()
+                .iter()
+                .filter(|&&n| matches!(self.drivers[n.index()], NetDriver::Gate(_)))
+                .count() as u8;
+            if indegree[i] == 0 {
+                ready.push(GateId(i as u32));
+            }
+        }
+        let mut order = Vec::with_capacity(kept);
         while let Some(g) = ready.pop() {
             order.push(g);
             for &c in &consumers[off[g.index()] as usize..off[g.index() + 1] as usize] {
@@ -497,15 +586,20 @@ impl Netlist {
                 }
             }
         }
-        (order.len() == self.gates.len()).then_some(order)
+        (order.len() == kept).then_some(order)
     }
 
-    /// CSR gate-consumer index: `off[g]..off[g + 1]` slices `consumers`
-    /// into the gates reading `g`'s output, in gate-id order.
-    pub(crate) fn gate_consumers(&self) -> (Vec<u32>, Vec<GateId>) {
+    /// CSR gate-consumer index over the gates `keep` admits:
+    /// `off[g]..off[g + 1]` slices `consumers` into the admitted gates
+    /// reading `g`'s output, in gate-id order (one structure, no per-gate
+    /// `Vec`s).
+    pub(crate) fn gate_consumers(&self, keep: impl Fn(usize) -> bool) -> (Vec<u32>, Vec<GateId>) {
         let n = self.gates.len();
         let mut off = vec![0u32; n + 1];
-        for g in &self.gates {
+        for (i, g) in self.gates.iter().enumerate() {
+            if !keep(i) {
+                continue;
+            }
             for &input in g.inputs() {
                 if let NetDriver::Gate(src) = self.drivers[input.index()] {
                     off[src.index() + 1] += 1;
@@ -520,6 +614,9 @@ impl Netlist {
         // so one shift right restores the offsets without a cursor copy.
         let mut consumers = vec![GateId(0); off[n] as usize];
         for (i, g) in self.gates.iter().enumerate() {
+            if !keep(i) {
+                continue;
+            }
             for &input in g.inputs() {
                 if let NetDriver::Gate(src) = self.drivers[input.index()] {
                     consumers[off[src.index()] as usize] = GateId(i as u32);
@@ -543,7 +640,7 @@ impl Netlist {
                 return Err(NetlistError::Undriven { net: NetId(i as u32) });
             }
         }
-        self.topo_order().map(|_| ())
+        self.eval_order().map(|_| ())
     }
 }
 
@@ -621,9 +718,121 @@ mod tests {
         n.output("o", vec![x]);
         let uncached = format!("{n:?}");
         n.check().unwrap();
+        n.topo_order().unwrap();
         assert!(n.topo.get().is_some());
         assert_eq!(format!("{n:?}"), uncached);
         assert_eq!(format!("{:?}", n.clone()), uncached);
+    }
+
+    #[test]
+    fn check_and_simulate_batch_leave_the_order_cache_empty() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let (n, _) = random_netlist(&mut rng, 200);
+        assert!(n.creation_order_is_topological());
+        n.check().unwrap();
+        let lane = vec![dp_bitvec::BitVec::from_u64(3, 5)];
+        n.simulate_batch(std::slice::from_ref(&lane)).unwrap();
+        n.simulate(&lane).unwrap();
+        n.longest_path(&Library::synthetic_025um());
+        assert!(n.topo.get().is_none(), "order-free passes must not build a Kahn order");
+        n.sweep();
+        assert!(n.topo.get().is_none(), "sweep orders only the live gates, uncached");
+    }
+
+    #[test]
+    fn only_a_rewire_onto_a_later_driver_breaks_creation_order() {
+        let mut n = Netlist::new();
+        let a = n.input("a", 2);
+        let x = n.gate(CellKind::And2, &[a[0], a[1]]);
+        let y = n.gate(CellKind::Inv, &[x]);
+        let z = n.gate(CellKind::Or2, &[x, a[0]]);
+        n.output("o", vec![y, z]);
+        let [gx, gy, gz] = [x, y, z].map(|net| n.driver_gate(net).unwrap());
+        // Onto an input or an earlier gate's output: still topological.
+        n.rewire_gate_input(gz, 1, a[1]);
+        n.rewire_gate_input(gz, 1, x);
+        assert!(n.creation_order_is_topological());
+        // Onto a later gate's output: acyclic, but no longer in id order.
+        n.rewire_gate_input(gy, 0, z);
+        assert!(!n.creation_order_is_topological());
+        assert_eq!(n.check(), Ok(()));
+        // Conservative: rewiring back does not restore the flag, but the
+        // DPN1 decoder's scan does.
+        n.rewire_gate_input(gy, 0, x);
+        assert!(!n.creation_order_is_topological());
+        let decoded = Netlist::from_bytes(&n.to_bytes()).unwrap();
+        assert!(decoded.creation_order_is_topological());
+        // A gate reading its own output is a back edge (and a cycle).
+        n.rewire_gate_input(gx, 0, x);
+        assert_eq!(n.check(), Err(NetlistError::Cyclic));
+        let decoded = Netlist::from_bytes(&n.to_bytes()).unwrap();
+        assert!(!decoded.creation_order_is_topological());
+        assert_eq!(decoded.check(), Err(NetlistError::Cyclic));
+    }
+
+    /// Exact truth of the flag: every gate-driven input has a lower id.
+    fn creation_order_is_exactly_topological(n: &Netlist) -> bool {
+        n.gates.iter().enumerate().all(|(i, g)| {
+            g.inputs().iter().all(|p| n.driver_gate(*p).is_none_or(|src| src.index() < i))
+        })
+    }
+
+    /// A copy whose order-free passes take the Kahn fallback: one rewire
+    /// onto the gate's own output sets the back-edge flag, and rewiring
+    /// back restores the structure but (conservatively) not the flag.
+    fn forced_kahn(n: &Netlist) -> Netlist {
+        let mut forced = n.clone();
+        if forced.num_gates() > 0 {
+            let g = GateId(0);
+            let pin0 = forced.gate_inputs(g)[0];
+            forced.rewire_gate_input(g, 0, forced.gate_output(g));
+            forced.rewire_gate_input(g, 0, pin0);
+            assert!(!forced.creation_order_is_topological());
+            assert_eq!(format!("{forced:?}"), format!("{n:?}"));
+        }
+        forced
+    }
+
+    /// One random edit; returns whether it changed the gate structure.
+    fn random_edit(rng: &mut StdRng, n: &mut Netlist, nets: &mut Vec<NetId>) -> bool {
+        match rng.gen_range(0..6) {
+            0 => {
+                let kind = CellKind::ALL[rng.gen_range(0..CellKind::ALL.len())];
+                let ins: Vec<NetId> =
+                    (0..kind.arity()).map(|_| nets[rng.gen_range(0..nets.len())]).collect();
+                nets.push(n.gate(kind, &ins));
+                true
+            }
+            1 if n.num_gates() > 0 => {
+                let g = GateId(rng.gen_range(0..n.num_gates() as u32));
+                let pin = rng.gen_range(0..n.gate_info(g).0.arity());
+                // Mostly an earlier net (keeps the netlist acyclic),
+                // sometimes any net (a back edge, which may close a loop).
+                let bound = if rng.gen_bool(0.8) { n.gate_output(g).index() } else { n.num_nets() };
+                let net = NetId(rng.gen_range(0..bound.max(1)) as u32);
+                let changed = n.gate_inputs(g)[pin] != net;
+                n.rewire_gate_input(g, pin, net);
+                changed
+            }
+            2 if n.num_gates() > 0 => {
+                let g = GateId(rng.gen_range(0..n.num_gates() as u32));
+                n.set_drive(g, [Drive::X1, Drive::X2, Drive::X4][rng.gen_range(0..3)]);
+                false
+            }
+            3 => {
+                let bit = rng.gen_range(0..n.outputs()[0].1.len());
+                n.rewire_output_bit(0, bit, nets[rng.gen_range(0..nets.len())]);
+                false
+            }
+            4 => {
+                nets.push(if rng.gen_bool(0.5) { n.const0() } else { n.const1() });
+                false
+            }
+            _ => {
+                nets.push(n.fresh_net());
+                false
+            }
+        }
     }
 
     /// A random acyclic netlist: every gate reads nets created before it,
@@ -655,49 +864,7 @@ mod tests {
             let (mut n, mut nets) = random_netlist(&mut rng, gates);
             for step in 0..steps {
                 let cached = n.topo.get().is_some();
-                let structural = match rng.gen_range(0..6) {
-                    0 => {
-                        let kind = CellKind::ALL[rng.gen_range(0..CellKind::ALL.len())];
-                        let ins: Vec<NetId> = (0..kind.arity())
-                            .map(|_| nets[rng.gen_range(0..nets.len())])
-                            .collect();
-                        nets.push(n.gate(kind, &ins));
-                        true
-                    }
-                    1 if n.num_gates() > 0 => {
-                        let g = GateId(rng.gen_range(0..n.num_gates() as u32));
-                        let pin = rng.gen_range(0..n.gate_info(g).0.arity());
-                        // Mostly an earlier net (keeps the netlist acyclic),
-                        // sometimes any net (may close a loop).
-                        let bound = if rng.gen_bool(0.8) {
-                            n.gate_output(g).index()
-                        } else {
-                            n.num_nets()
-                        };
-                        let net = NetId(rng.gen_range(0..bound.max(1)) as u32);
-                        let changed = n.gate_inputs(g)[pin] != net;
-                        n.rewire_gate_input(g, pin, net);
-                        changed
-                    }
-                    2 if n.num_gates() > 0 => {
-                        let g = GateId(rng.gen_range(0..n.num_gates() as u32));
-                        n.set_drive(g, [Drive::X1, Drive::X2, Drive::X4][rng.gen_range(0..3)]);
-                        false
-                    }
-                    3 => {
-                        let bit = rng.gen_range(0..n.outputs()[0].1.len());
-                        n.rewire_output_bit(0, bit, nets[rng.gen_range(0..nets.len())]);
-                        false
-                    }
-                    4 => {
-                        nets.push(if rng.gen_bool(0.5) { n.const0() } else { n.const1() });
-                        false
-                    }
-                    _ => {
-                        nets.push(n.fresh_net());
-                        false
-                    }
-                };
+                let structural = random_edit(&mut rng, &mut n, &mut nets);
                 prop_assert_eq!(
                     n.topo.get().is_some(),
                     cached && !structural,
@@ -721,6 +888,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let (mut n, _) = random_netlist(&mut rng, gates);
             prop_assert_eq!(n.check(), Ok(()));
+            prop_assert!(n.topo_order().is_ok());
             prop_assert!(n.topo.get().is_some());
             // Feed a gate from its own output or from a gate downstream of
             // it: gates only read earlier nets, so one forward scan in id
@@ -745,6 +913,73 @@ mod tests {
                 n.simulate_batch(&[lane]),
                 Err(crate::SimError::Invalid(NetlistError::Cyclic))
             );
+        }
+
+        /// Under random edits (gate creation, rewires including back edges
+        /// and loops, drive changes, DPN1 round-trips) the creation-order
+        /// flag stays sound, and every order-free pass gives bit for bit
+        /// what it gives when forced onto the Kahn order.
+        #[test]
+        fn creation_order_fast_paths_match_the_kahn_order(seed in any::<u64>(), gates in 0usize..40, steps in 1usize..30) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let lib = Library::synthetic_025um();
+            let (mut n, mut nets) = random_netlist(&mut rng, gates);
+            for step in 0..steps {
+                if rng.gen_bool(0.1) {
+                    n = Netlist::from_bytes(&n.to_bytes()).expect("round trip");
+                    prop_assert_eq!(
+                        n.creation_order_is_topological(),
+                        creation_order_is_exactly_topological(&n)
+                    );
+                } else {
+                    random_edit(&mut rng, &mut n, &mut nets);
+                }
+                if n.creation_order_is_topological() {
+                    prop_assert!(creation_order_is_exactly_topological(&n), "step {}", step);
+                }
+                let forced = forced_kahn(&n);
+                prop_assert_eq!(n.check(), forced.check(), "step {}", step);
+                if n.check().is_err() {
+                    continue;
+                }
+                let lanes: Vec<Vec<dp_bitvec::BitVec>> = (0..70)
+                    .map(|_| vec![dp_bitvec::BitVec::from_u64(3, rng.gen_range(0..8))])
+                    .collect();
+                prop_assert_eq!(n.simulate(&lanes[0]), forced.simulate(&lanes[0]));
+                prop_assert_eq!(n.simulate_batch(&lanes), forced.simulate_batch(&lanes));
+                let (at, forced_at) = (n.arrival_times(&lib), forced.arrival_times(&lib));
+                for net in 0..n.num_nets() {
+                    let id = NetId(net as u32);
+                    prop_assert_eq!(at.at(id).to_bits(), forced_at.at(id).to_bits());
+                }
+                prop_assert_eq!(
+                    n.longest_path(&lib).delay_ns.to_bits(),
+                    forced.longest_path(&lib).delay_ns.to_bits()
+                );
+                prop_assert_eq!(n.critical_gates(&lib, 0.05), forced.critical_gates(&lib, 0.05));
+                prop_assert_eq!(format!("{:?}", n.sweep()), format!("{:?}", forced.sweep()));
+            }
+        }
+
+        /// Kahn over the live gates alone visits them in exactly the order
+        /// the full Kahn pass does; only the dead gates drop out.
+        #[test]
+        fn live_sweep_order_is_the_filtered_full_order(seed in any::<u64>(), gates in 0usize..60, steps in 0usize..20) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (mut n, mut nets) = random_netlist(&mut rng, gates);
+            for _ in 0..steps {
+                random_edit(&mut rng, &mut n, &mut nets);
+            }
+            let live = n.live_gates();
+            let filtered = n
+                .kahn_order()
+                .map(|order| order.into_iter().filter(|g| live[g.index()]).collect::<Vec<_>>());
+            match (n.live_kahn_order(&live), filtered) {
+                (Some(live_order), Some(full)) => prop_assert_eq!(live_order, full),
+                // A loop among dead gates blocks only the full order.
+                (Some(_), None) => {}
+                (None, full) => prop_assert!(full.is_none(), "a live loop is a loop"),
+            }
         }
     }
 }

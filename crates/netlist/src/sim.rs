@@ -94,7 +94,7 @@ impl Netlist {
                 values[i] = *v;
             }
         }
-        for &g in self.topo_order()? {
+        for g in self.eval_order()? {
             let gate = &self.gates[g.index()];
             // Arity-1 cells ignore `b`; their second slot duplicates pin 0.
             let a = values[gate.ins[0].index()];
@@ -142,7 +142,7 @@ impl Netlist {
                 }
             }
         }
-        let topo = self.topo_order()?;
+        let order = self.eval_order()?;
         let mut results = Vec::with_capacity(lanes.len());
         let mut words = vec![0u64; self.num_nets()];
         for chunk in lanes.chunks(64) {
@@ -162,7 +162,7 @@ impl Netlist {
                     }
                 }
             }
-            for g in topo {
+            for g in order.clone() {
                 let gate = &self.gates[g.index()];
                 // Arity-1 cells ignore `b`; their second slot duplicates pin 0.
                 let a = words[gate.ins[0].index()];

@@ -37,7 +37,7 @@ impl Netlist {
     /// [`Netlist::check`] first for a graceful error.
     pub fn arrival_times(&self, lib: &Library) -> ArrivalTimes {
         let mut at = vec![0.0f64; self.num_nets()];
-        for &g in self.topo_order().expect("timing needs an acyclic netlist") {
+        for g in self.eval_order().expect("timing needs an acyclic netlist") {
             let gate = &self.gates[g.index()];
             let input_at = gate.inputs().iter().map(|&n| at[n.index()]).fold(0.0f64, f64::max);
             let d = lib.delay_ns(gate.kind, gate.drive, self.fanout_of(gate.output));
@@ -159,10 +159,9 @@ impl Netlist {
 /// (gate/net creation, rewiring) build a fresh one.
 #[derive(Debug, Clone)]
 pub struct IncrementalSta {
-    /// Gates in topological order.
-    order: Vec<crate::GateId>,
-    /// `pos[g.index()]` = position of `g` in `order`.
-    pos: Vec<u32>,
+    /// `rank[g.index()]` = topological position of `g`; `None` when
+    /// creation order is topological and the gate id is the position.
+    rank: Option<Vec<u32>>,
     /// CSR consumer index: `coff[g]..coff[g + 1]` slices `cons`.
     coff: Vec<u32>,
     cons: Vec<crate::GateId>,
@@ -170,37 +169,54 @@ pub struct IncrementalSta {
     at: Vec<f64>,
     /// Scratch: gates queued in the current cone walk.
     queued: Vec<bool>,
-    /// Scratch: pending cone worklist ordered by topo position.
+    /// Scratch: pending cone worklist ordered by topological position.
     heap: std::collections::BinaryHeap<std::cmp::Reverse<(u32, crate::GateId)>>,
 }
 
 impl IncrementalSta {
     /// Builds the tracker with a full arrival pass.
     ///
+    /// On a netlist whose creation order is topological the gate id is the
+    /// position and no order is built. Otherwise the consumer CSR is built
+    /// once and serves both the Kahn pass (whose order is memoized in the
+    /// netlist for [`Netlist::critical_gates`]) and the tracker.
+    ///
     /// # Errors
     ///
     /// Returns [`NetlistError::Cyclic`] on a combinational loop.
     pub fn new(nl: &Netlist, lib: &Library) -> Result<IncrementalSta, NetlistError> {
-        let order = nl.topo_order()?.to_vec();
-        let mut pos = vec![0u32; nl.num_gates()];
-        for (i, &g) in order.iter().enumerate() {
-            pos[g.index()] = i as u32;
-        }
-        let (coff, cons) = nl.gate_consumers();
+        let (coff, cons) = nl.gate_consumers(|_| true);
         let mut sta = IncrementalSta {
-            order,
-            pos,
+            rank: None,
             coff,
             cons,
             at: vec![0.0f64; nl.num_nets()],
             queued: vec![false; nl.num_gates()],
             heap: std::collections::BinaryHeap::new(),
         };
-        for i in 0..sta.order.len() {
-            let g = sta.order[i];
-            sta.at[nl.gate_output(g).index()] = sta.eval_gate(nl, lib, g);
+        if nl.creation_order_is_topological() {
+            for g in nl.gate_ids() {
+                sta.at[nl.gate_output(g).index()] = sta.eval_gate(nl, lib, g);
+            }
+        } else {
+            let order = nl
+                .topo
+                .get_or_init(|| nl.kahn(|_| true, &sta.coff, &sta.cons))
+                .as_deref()
+                .ok_or(NetlistError::Cyclic)?;
+            let mut rank = vec![0u32; nl.num_gates()];
+            for (i, &g) in order.iter().enumerate() {
+                rank[g.index()] = i as u32;
+                sta.at[nl.gate_output(g).index()] = sta.eval_gate(nl, lib, g);
+            }
+            sta.rank = Some(rank);
         }
         Ok(sta)
+    }
+
+    /// Topological position of `g`, the cone worklist's key.
+    fn position(&self, g: crate::GateId) -> u32 {
+        self.rank.as_ref().map_or(g.index() as u32, |rank| rank[g.index()])
     }
 
     /// Arrival of one gate's output from the current `at` array: max input
@@ -221,7 +237,7 @@ impl IncrementalSta {
     /// delay changed (a sizing move). Gates are visited in topological
     /// order; propagation stops at gates whose arrival is unchanged.
     pub fn update_gate(&mut self, nl: &Netlist, lib: &Library, g: crate::GateId) {
-        self.heap.push(std::cmp::Reverse((self.pos[g.index()], g)));
+        self.heap.push(std::cmp::Reverse((self.position(g), g)));
         self.queued[g.index()] = true;
         while let Some(std::cmp::Reverse((_, g))) = self.heap.pop() {
             self.queued[g.index()] = false;
@@ -238,7 +254,7 @@ impl IncrementalSta {
             for &c in &self.cons[lo..hi] {
                 if !self.queued[c.index()] {
                     self.queued[c.index()] = true;
-                    self.heap.push(std::cmp::Reverse((self.pos[c.index()], c)));
+                    self.heap.push(std::cmp::Reverse((self.position(c), c)));
                 }
             }
         }
@@ -371,21 +387,38 @@ mod tests {
         }
         let side = n.gate(CellKind::Inv, &[x]);
         n.output("o", vec![w, side]);
-        let mut sta = IncrementalSta::new(&n, &lib).unwrap();
-        assert_eq!(sta.delay_ns(&n).to_bits(), n.longest_path(&lib).delay_ns.to_bits());
         // Size a few gates up and down; the tracker must stay bit-identical
         // to a fresh full pass after every move.
-        for (i, &g) in gates.iter().enumerate() {
-            let drive = if i % 2 == 0 { Drive::X4 } else { Drive::X2 };
-            n.set_drive(g, drive);
-            sta.update_gate(&n, &lib, g);
-            let full = n.arrival_times(&lib);
-            for net in 0..n.num_nets() {
-                let id = NetId(net as u32);
-                assert_eq!(sta.arrival(id).to_bits(), full.at(id).to_bits(), "net {id}");
+        let size_and_compare = |n: &mut Netlist, gates: &[crate::GateId]| {
+            let mut sta = IncrementalSta::new(n, &lib).unwrap();
+            assert_eq!(sta.delay_ns(n).to_bits(), n.longest_path(&lib).delay_ns.to_bits());
+            for (i, &g) in gates.iter().enumerate() {
+                let drive = if i % 2 == 0 { Drive::X4 } else { Drive::X2 };
+                n.set_drive(g, drive);
+                sta.update_gate(n, &lib, g);
+                let full = n.arrival_times(&lib);
+                for net in 0..n.num_nets() {
+                    let id = NetId(net as u32);
+                    assert_eq!(sta.arrival(id).to_bits(), full.at(id).to_bits(), "net {id}");
+                }
+                assert_eq!(sta.delay_ns(n).to_bits(), n.longest_path(&lib).delay_ns.to_bits());
             }
-            assert_eq!(sta.delay_ns(&n).to_bits(), n.longest_path(&lib).delay_ns.to_bits());
-        }
+        };
+        assert!(n.creation_order_is_topological());
+        size_and_compare(&mut n, &gates);
+        assert!(n.topo.get().is_none(), "creation order needs no Kahn pass");
+        // Buffer `x` the way the optimizer does: the new, highest-id buffer
+        // feeds the chain head and the side load, so gate ids are no longer
+        // a topological order and the tracker ranks gates by Kahn position.
+        let buf = n.gate(CellKind::Buf, &[x]);
+        assert_eq!(n.gate_inputs(gates[1])[0], x);
+        n.rewire_gate_input(gates[1], 0, buf);
+        n.rewire_gate_input(n.driver_gate(side).unwrap(), 0, buf);
+        assert!(!n.creation_order_is_topological());
+        gates.push(n.driver_gate(buf).unwrap());
+        gates.reverse();
+        size_and_compare(&mut n, &gates);
+        assert!(n.topo.get().is_some(), "the tracker's Kahn pass is memoized for reuse");
     }
 
     #[test]

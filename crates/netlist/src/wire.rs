@@ -260,6 +260,13 @@ impl Netlist {
                 fanout[b.index()] += 1;
             }
         }
+        // Creation order is topological unless some gate reads the output
+        // of itself or of a later gate.
+        let back_edge = gates.iter().enumerate().any(|(i, g)| {
+            g.inputs()
+                .iter()
+                .any(|n| matches!(drivers[n.index()], NetDriver::Gate(src) if src.index() >= i))
+        });
         Ok(Netlist {
             drivers,
             fanout,
@@ -268,6 +275,7 @@ impl Netlist {
             outputs,
             const_nets,
             topo: Default::default(),
+            back_edge,
         })
     }
 }

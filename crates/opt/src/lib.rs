@@ -172,12 +172,12 @@ pub fn optimize(nl: &mut Netlist, lib: &Library, config: &OptConfig) -> OptRepor
 
         // Move 2: buffer one heavily loaded critical net.
         if !improved {
-            if let Some(g) = pick_buffer_candidate(nl, lib, window, config) {
+            if let Some((g, critical)) = pick_buffer_candidate(nl, lib, window, config) {
                 let before = match &sta {
                     Some(s) => s.delay_ns(nl),
                     None => nl.longest_path(lib).delay_ns,
                 };
-                buffer_noncritical_fanout(nl, lib, g, window);
+                buffer_noncritical_fanout(nl, g, &critical);
                 // Buffer insertion is structural (new gate, rewired pins);
                 // rebuild the tracker. At most one rebuild per iteration.
                 sta = IncrementalSta::new(nl, lib).ok();
@@ -225,9 +225,11 @@ pub fn optimize(nl: &mut Netlist, lib: &Library, config: &OptConfig) -> OptRepor
 /// consumers. The gates themselves become dead and are removed by the
 /// following sweep.
 ///
-/// One pass in gate topological order reaches the fixpoint: folding is a
-/// forward dataflow problem, so by the time a gate is visited every
-/// replacement affecting its inputs is already recorded. Replacements live
+/// One pass in a gate topological order reaches the fixpoint: folding is
+/// a forward dataflow problem, so by the time a gate is visited every
+/// replacement affecting its inputs is already recorded. Any topological
+/// order gives the same result, so the pass walks creation order whenever
+/// [`Netlist::creation_order_is_topological`] holds. Replacements live
 /// in a dense union-find table (`repl[n]` = what to read instead of `n`,
 /// with path compression), and consumers are rewired once at the end —
 /// no per-candidate netlist scans, no fixpoint iteration.
@@ -243,15 +245,22 @@ pub fn fold_constants(nl: &mut Netlist) {
 /// identical to its input. At most some fanout-free constant nets created
 /// during the scan are left behind, and [`Netlist::sweep`] drops them.
 pub fn fold_constants_watched(nl: &mut Netlist, wd: &Watchdog) -> bool {
-    // An owned copy of the memoized order: the scan below adds constant
-    // nets (which keep the order valid) through `&mut`.
-    let Ok(order) = nl.topo_order().map(<[GateId]>::to_vec) else {
-        // A combinational cycle defeats topological scheduling; fall back
-        // to the fixpoint scanner, which needs no order.
-        return fold_sweeping_watched(nl, wd);
+    // Creation order needs no order at all; otherwise an owned copy of the
+    // memoized Kahn order, since the scan below adds constant nets (which
+    // keep the order valid) through `&mut`.
+    let kahn = if nl.creation_order_is_topological() {
+        None
+    } else {
+        let Ok(order) = nl.topo_order().map(<[GateId]>::to_vec) else {
+            // A combinational cycle defeats topological scheduling; fall
+            // back to the fixpoint scanner, which needs no order.
+            return fold_sweeping_watched(nl, wd);
+        };
+        Some(order)
     };
     let mut repl: Vec<NetId> = (0..nl.num_nets()).map(NetId::from_index).collect();
-    for g in order {
+    for i in 0..nl.num_gates() {
+        let g = kahn.as_ref().map_or(GateId::from_index(i), |order| order[i]);
         if wd.check() {
             return false;
         }
@@ -468,29 +477,35 @@ fn rewire_all(nl: &mut Netlist, old: NetId, new: NetId) {
 }
 
 /// Finds a critical gate whose output fanout exceeds the buffering
-/// threshold.
+/// threshold, returned with the critical set it was picked from.
 fn pick_buffer_candidate(
     nl: &Netlist,
     lib: &Library,
     window_ns: f64,
     config: &OptConfig,
-) -> Option<GateId> {
-    nl.critical_gates(lib, window_ns)
-        .into_iter()
+) -> Option<(GateId, Vec<GateId>)> {
+    let critical = nl.critical_gates(lib, window_ns);
+    let g = critical
+        .iter()
+        .copied()
         .filter(|&g| nl.fanout_of(nl.gate_output(g)) > config.buffer_fanout_threshold)
-        .max_by_key(|&g| nl.fanout_of(nl.gate_output(g)))
+        .max_by_key(|&g| nl.fanout_of(nl.gate_output(g)))?;
+    Some((g, critical))
 }
 
-/// Moves the non-critical consumers of `g`'s output behind a buffer,
-/// reducing the load the critical path sees.
-fn buffer_noncritical_fanout(nl: &mut Netlist, lib: &Library, g: GateId, window_ns: f64) {
+/// Moves the consumers of `g`'s output that are not in `critical` (the
+/// netlist's current critical set) behind a buffer, reducing the load the
+/// critical path sees.
+fn buffer_noncritical_fanout(nl: &mut Netlist, g: GateId, critical: &[GateId]) {
     let net = nl.gate_output(g);
-    let critical: std::collections::HashSet<GateId> =
-        nl.critical_gates(lib, window_ns).into_iter().collect();
+    let mut is_critical = vec![false; nl.num_gates()];
+    for &c in critical {
+        is_critical[c.index()] = true;
+    }
     // Collect non-critical consumer pins of `net`.
     let mut movable: Vec<(GateId, usize)> = Vec::new();
     for c in nl.gate_ids() {
-        if critical.contains(&c) {
+        if is_critical[c.index()] {
             continue;
         }
         for pin in 0..nl.gate_inputs(c).len() {
@@ -512,6 +527,7 @@ fn buffer_noncritical_fanout(nl: &mut Netlist, lib: &Library, g: GateId, window_
 mod tests {
     use super::*;
     use dp_bitvec::BitVec;
+    use proptest::prelude::*;
 
     fn lib() -> Library {
         Library::synthetic_025um()
@@ -627,6 +643,39 @@ mod tests {
                     "seed {seed} v {v}"
                 );
             }
+        }
+    }
+
+    /// A copy of `n` whose order-free passes take the Kahn fallback: a
+    /// rewire onto the gate's own output marks a back edge, and rewiring
+    /// back restores the structure but (conservatively) not the mark.
+    fn forced_kahn(n: &Netlist) -> Netlist {
+        let mut forced = n.clone();
+        let g = GateId::from_index(0);
+        let pin0 = forced.gate_inputs(g)[0];
+        forced.rewire_gate_input(g, 0, forced.gate_output(g));
+        forced.rewire_gate_input(g, 0, pin0);
+        assert!(!forced.creation_order_is_topological());
+        forced
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The fold walks creation order on a netlist built in order and
+        /// the Kahn order otherwise; after the sweep both land on the
+        /// same netlist bit for bit (before it, only the ids of the
+        /// constant nets the fold creates may differ). Folding rewires to
+        /// upstream roots only, so it keeps creation order topological.
+        #[test]
+        fn creation_order_fold_matches_the_kahn_order_fold(seed in any::<u64>(), gates in 1usize..80) {
+            let base = random_netlist(seed, gates);
+            let mut fast = base.clone();
+            let mut forced = forced_kahn(&base);
+            fold_constants(&mut fast);
+            fold_constants(&mut forced);
+            prop_assert!(fast.creation_order_is_topological());
+            prop_assert_eq!(format!("{:?}", fast.sweep()), format!("{:?}", forced.sweep()));
         }
     }
 

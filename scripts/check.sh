@@ -148,6 +148,13 @@ if cargo run --release --bin dpmc -- analyze --designs D1 --corrupt-ic 1 > /dev/
   exit 1
 fi
 
+echo "==> benchmark self-tests (independent reference evaluator vs the netlist fast paths)"
+# The end-to-end benchmark checks every compiled netlist, simulated through
+# check/simulate_batch, against its own evaluator, which shares no code
+# with dp-dfg or dp-netlist; its self-tests compile the whole
+# paper-kernels grid and run every workload.
+cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> unwrap/expect lint (non-test code of src/ and core crates)"
 # Bare .unwrap() is banned outright outside tests/doc-comments; justified
 # .expect("invariant") calls are budgeted — adding a new one without
