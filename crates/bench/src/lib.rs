@@ -26,15 +26,12 @@
 
 use std::time::Duration;
 
-use dp_dfg::gen::random_inputs;
 use dp_dfg::Dfg;
 use dp_metrics::FlowMetrics;
 use dp_netlist::{Library, Netlist};
 use dp_opt::{optimize, OptConfig};
-use dp_synth::{run_flow, FlowResult, MergeStrategy, SynthConfig};
+use dp_synth::{run_flow, Equiv, FlowResult, MergeStrategy, SynthConfig};
 use dp_testcases::Testcase;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// One flow's post-synthesis measurement.
 #[derive(Debug, Clone)]
@@ -126,7 +123,7 @@ pub fn measure_flow(
         run_flow(g, strategy, config).expect("synthesis succeeds on valid designs");
     dp_opt::fold_constants(&mut netlist);
     netlist = netlist.sweep();
-    verify_equivalence(g, &netlist, 20);
+    assert_equivalent(g, &netlist, 20);
     let timing = netlist.longest_path(lib);
     let mut metrics = metrics;
     metrics.gates = netlist.num_gates();
@@ -147,19 +144,14 @@ pub fn measure_flow(
 /// # Panics
 ///
 /// Panics on any mismatch.
-pub fn verify_equivalence(g: &Dfg, netlist: &Netlist, trials: usize) {
-    // The vectors are pre-drawn from the dedicated verification RNG
-    // (identical stream to the old per-trial loop) so all trials run in
-    // one word-parallel simulation pass.
-    let mut rng = StdRng::seed_from_u64(0x5EED);
-    let lanes: Vec<_> = (0..trials).map(|_| random_inputs(g, &mut rng)).collect();
-    let batch = netlist.simulate_batch(&lanes).expect("netlist simulates");
-    for (inputs, got) in lanes.iter().zip(&batch) {
-        let expect = g.evaluate(inputs).expect("design evaluates");
-        for (k, &o) in g.outputs().iter().enumerate() {
-            assert_eq!(got[k], expect[&o], "netlist differs from design at output {k}");
-        }
-    }
+fn assert_equivalent(g: &Dfg, netlist: &Netlist, trials: usize) {
+    let oracle = Equiv::new(g, 0x5EED, trials).expect("design evaluates");
+    let mismatch = oracle.netlist_mismatch(netlist);
+    assert!(
+        mismatch.is_none(),
+        "{}",
+        mismatch.map(|m| m.describe("netlist", g)).unwrap_or_default()
+    );
 }
 
 /// Computes a Table 1 row for one design.
@@ -184,7 +176,7 @@ pub fn table2(t: &Testcase, config: &SynthConfig, lib: &Library, interp: f64) ->
     let mut results = Vec::new();
     for mut nl in [nl_old, nl_new] {
         let report = optimize(&mut nl, lib, &opt_config);
-        verify_equivalence(&t.dfg, &nl, 10);
+        assert_equivalent(&t.dfg, &nl, 10);
         results.push(report);
     }
     Table2Row {

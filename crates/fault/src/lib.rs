@@ -32,13 +32,12 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use dp_analysis::{Ic, IntrinsicOverrides};
 use dp_bitvec::Signedness;
-use dp_dfg::gen::random_inputs;
 use dp_dfg::{Dfg, NodeId, NodeKind};
 use dp_merge::Clustering;
 use dp_metrics::Recorder;
 use dp_synth::{
-    run_flow_guarded_hooked, DegradationReport, FlowBudget, FlowFault, GuardedFlow, MergeStrategy,
-    SynthConfig, SynthError,
+    run_flow_guarded_hooked, DegradationReport, Equiv, FlowBudget, FlowFault, GuardedFlow,
+    MergeStrategy, Mismatch, SynthConfig, SynthError,
 };
 use dp_trace::TraceLog;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -348,7 +347,18 @@ fn typed_error_outcome(e: &SynthError) -> FaultOutcome {
 /// fresh vectors, then cross-check the degradation report against the
 /// trace.
 fn classify_success(g: &Dfg, flow: &GuardedFlow, tr: &TraceLog, seed: u64) -> FaultOutcome {
-    if let Some(reason) = netlist_differs(g, flow, seed) {
+    // 16 vectors seeded from the case seed, never the flow's audit seed.
+    let wrong = match Equiv::new(g, seed ^ 0xFA57_C0DE, 16) {
+        Ok(oracle) => oracle.netlist_mismatch(&flow.flow.netlist).map(|m| match m {
+            Mismatch::Value { vector, output } => format!(
+                "vector {vector}: output {} is wrong",
+                g.outputs().get(output).and_then(|&o| g.node(o).name()).unwrap_or("?")
+            ),
+            other => format!("netlist {other}"),
+        }),
+        Err(e) => Some(format!("reference evaluation failed: {e}")),
+    };
+    if let Some(reason) = wrong {
         return FaultOutcome::WrongNetlist(reason);
     }
     match &flow.degradation {
@@ -358,35 +368,6 @@ fn classify_success(g: &Dfg, flow: &GuardedFlow, tr: &TraceLog, seed: u64) -> Fa
             None => FaultOutcome::Degraded(report.tags()),
         },
     }
-}
-
-/// Independent differential simulation: 16 vectors seeded from the case
-/// seed (never the flow's audit seed).
-fn netlist_differs(g: &Dfg, flow: &GuardedFlow, seed: u64) -> Option<String> {
-    // All 16 vectors come from the dedicated case RNG up front (the same
-    // stream the one-at-a-time loop consumed), then one word-parallel
-    // simulation pass covers every lane.
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xFA57_C0DE);
-    let lanes: Vec<_> = (0..16).map(|_| random_inputs(g, &mut rng)).collect();
-    let batch = match flow.flow.netlist.simulate_batch(&lanes) {
-        Ok(v) => v,
-        Err(e) => return Some(format!("netlist simulation failed: {e}")),
-    };
-    for (k, (inputs, got)) in lanes.iter().zip(&batch).enumerate() {
-        let expect = match g.evaluate(inputs) {
-            Ok(v) => v,
-            Err(e) => return Some(format!("reference evaluation failed: {e}")),
-        };
-        for (i, &o) in g.outputs().iter().enumerate() {
-            if got[i] != expect[&o] {
-                return Some(format!(
-                    "vector {k}: output {} is wrong",
-                    g.node(o).name().unwrap_or("?")
-                ));
-            }
-        }
-    }
-    None
 }
 
 /// Every degradation step must have left a `FALLBACK-*` event of the

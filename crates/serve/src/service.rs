@@ -15,9 +15,9 @@
 //! 2. **cluster** (`{hash}-{strategy}`): decode graph + clustering,
 //!    re-synthesize under the request watchdog, audit, backfill the
 //!    netlist entry;
-//! 3. **analysis** (`{hash}`, new-merge only): decode the width-optimized
-//!    graph, audit its equivalence, re-cluster and synthesize, backfill;
-//! 4. **miss**: the full guarded flow ([`run_flow_guarded`]).
+//! 3. **miss**: the full guarded flow ([`run_flow_guarded`]).
+//!
+//! Every audit is a [`dp_synth::Equiv`] built from the request's design.
 //!
 //! Any defect on a hit path — undecodable payload, interface mismatch,
 //! failed differential audit — **quarantines** the entry and falls through
@@ -40,20 +40,14 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use dp_analysis::IntrinsicOverrides;
-use dp_bitvec::BitVec;
-use dp_dfg::gen::random_inputs;
 use dp_dfg::{canonical_form, decode_canonical, encode_canonical, Dfg};
-use dp_merge::refine_clusters_with;
-use dp_metrics::{Json, Recorder, Watchdog};
+use dp_metrics::{Json, Recorder};
 use dp_netlist::{Library, Netlist};
 use dp_synth::{
-    run_flow_guarded, synthesize_watched, AdderKind, FlowBudget, MergeStrategy, ReductionKind,
-    SynthConfig, SynthError,
+    run_flow_guarded, synthesize_watched, AdderKind, Equiv, FlowBudget, MergeStrategy, Mismatch,
+    ReductionKind, SynthConfig, SynthError,
 };
 use dp_testcases::named_design;
-use dp_trace::TraceLog;
-use rand::{rngs::StdRng, SeedableRng};
 
 use crate::codec::{
     config_fingerprint, decode_cluster_artifact, decode_netlist_artifact, encode_cluster_artifact,
@@ -113,8 +107,6 @@ pub struct ServeStats {
     pub hits_netlist: u64,
     /// Requests answered from a stored clustering.
     pub hits_cluster: u64,
-    /// Requests answered from a stored analysis.
-    pub hits_analysis: u64,
     /// Requests that ran the full flow.
     pub misses: u64,
     /// Handler attempts beyond the first (panic retries).
@@ -126,7 +118,7 @@ pub struct ServeStats {
 impl ServeStats {
     /// Requests answered from any store level.
     pub fn hits(&self) -> u64 {
-        self.hits_netlist + self.hits_cluster + self.hits_analysis
+        self.hits_netlist + self.hits_cluster
     }
 
     /// Cache hit rate over requests that consulted the store.
@@ -158,7 +150,6 @@ impl ServeStats {
 enum CacheLevel {
     Netlist,
     Cluster,
-    Analysis,
     Miss,
     Off,
 }
@@ -168,7 +159,6 @@ impl CacheLevel {
         match self {
             CacheLevel::Netlist => "netlist",
             CacheLevel::Cluster => "cluster",
-            CacheLevel::Analysis => "analysis",
             CacheLevel::Miss => "miss",
             CacheLevel::Off => "off",
         }
@@ -327,7 +317,6 @@ impl Service {
             match reply.cache {
                 CacheLevel::Netlist => stats.hits_netlist += 1,
                 CacheLevel::Cluster => stats.hits_cluster += 1,
-                CacheLevel::Analysis => stats.hits_analysis += 1,
                 CacheLevel::Miss => stats.misses += 1,
                 CacheLevel::Off => {}
             }
@@ -367,7 +356,6 @@ impl Service {
             total.errors += s.errors;
             total.hits_netlist += s.hits_netlist;
             total.hits_cluster += s.hits_cluster;
-            total.hits_analysis += s.hits_analysis;
             total.misses += s.misses;
             total.retries += s.retries;
             total.elapsed_us += s.elapsed_us;
@@ -469,7 +457,8 @@ impl Service {
         // The differential-audit oracle: fixed vectors, reference outputs
         // evaluated on the *request's* design — a hit must match the
         // design the client sent, not the design that filled the cache.
-        let oracle = Oracle::new(&g, &budget).map_err(|m| typed("graph", 5, m))?;
+        let oracle = Equiv::new(&g, budget.check_seed, budget.check_vectors.max(1))
+            .map_err(|e| typed("graph", 5, format!("reference evaluation failed: {e}")))?;
         let keys = Keys::new(&form.hash, req.strategy, &req.config);
 
         if let Some(success) = self.try_netlist_hit(&keys, &oracle, &form.hash)? {
@@ -477,13 +466,6 @@ impl Service {
         }
         if let Some(success) = self.try_cluster_hit(req, &keys, &oracle, &form.hash, &budget)? {
             return Ok(success);
-        }
-        if req.strategy == MergeStrategy::New {
-            if let Some(success) =
-                self.try_analysis_hit(req, &keys, &oracle, &form.hash, &budget)?
-            {
-                return Ok(success);
-            }
         }
         self.run_cold(req, &gc, &form.hash, &budget, CacheLevel::Miss)
     }
@@ -493,7 +475,7 @@ impl Service {
     fn try_netlist_hit(
         &self,
         keys: &Keys,
-        oracle: &Oracle,
+        oracle: &Equiv,
         hash: &str,
     ) -> Result<Option<Success>, Failure> {
         let Some(payload) = self.store_get(ArtifactKind::Netlist, &keys.netlist) else {
@@ -509,8 +491,8 @@ impl Service {
                 return Ok(None);
             }
         };
-        if let Some(defect) = oracle.audit_netlist(&nl) {
-            self.store_quarantine(ArtifactKind::Netlist, &keys.netlist, &defect);
+        if let Some(m) = oracle.netlist_mismatch(&nl) {
+            self.store_quarantine(ArtifactKind::Netlist, &keys.netlist, &netlist_defect(m));
             return Ok(None);
         }
         Ok(Some(measure(
@@ -530,7 +512,7 @@ impl Service {
         &self,
         req: &Request,
         keys: &Keys,
-        oracle: &Oracle,
+        oracle: &Equiv,
         hash: &str,
         budget: &FlowBudget,
     ) -> Result<Option<Success>, Failure> {
@@ -544,15 +526,16 @@ impl Service {
                 return Ok(None);
             }
         };
-        if let Some(defect) = oracle.audit_interface(&graph) {
+        if let Some(m) = oracle.interface_mismatch(&graph) {
+            let defect = format!("stored artifact interface mismatch: {m}");
             self.store_quarantine(ArtifactKind::Cluster, &keys.cluster, &defect);
             return Ok(None);
         }
         let wd = budget.watchdog();
         match synthesize_watched(&graph, &clustering, &req.config, &mut Recorder::disabled(), &wd) {
             Ok((nl, csa)) => {
-                if let Some(defect) = oracle.audit_netlist(&nl) {
-                    self.store_quarantine(ArtifactKind::Cluster, &keys.cluster, &defect);
+                if let Some(m) = oracle.netlist_mismatch(&nl) {
+                    self.store_quarantine(ArtifactKind::Cluster, &keys.cluster, &netlist_defect(m));
                     return Ok(None);
                 }
                 self.store_put(
@@ -578,78 +561,8 @@ impl Service {
         }
     }
 
-    /// Level 3 (new-merge only): a stored width-optimized graph. Audit
-    /// its equivalence, re-cluster, synthesize, backfill both inner
-    /// levels.
-    fn try_analysis_hit(
-        &self,
-        req: &Request,
-        keys: &Keys,
-        oracle: &Oracle,
-        hash: &str,
-        budget: &FlowBudget,
-    ) -> Result<Option<Success>, Failure> {
-        let Some(payload) = self.store_get(ArtifactKind::Analysis, &keys.analysis) else {
-            return Ok(None);
-        };
-        let graph = match decode_canonical(&payload) {
-            Ok(g) => g,
-            Err(defect) => {
-                self.store_quarantine(ArtifactKind::Analysis, &keys.analysis, &defect.to_string());
-                return Ok(None);
-            }
-        };
-        if let Some(defect) = oracle.audit_interface(&graph).or_else(|| oracle.audit_graph(&graph))
-        {
-            self.store_quarantine(ArtifactKind::Analysis, &keys.analysis, &defect);
-            return Ok(None);
-        }
-        let wd = budget.watchdog();
-        let (clustering, _) = refine_clusters_with(
-            &graph,
-            &mut IntrinsicOverrides::new(),
-            &mut Recorder::disabled(),
-            &mut TraceLog::disabled(),
-        );
-        if wd.poll() {
-            return Err(Failure::Budget(trip_limit(&wd)));
-        }
-        match synthesize_watched(&graph, &clustering, &req.config, &mut Recorder::disabled(), &wd) {
-            Ok((nl, csa)) => {
-                if let Some(defect) = oracle.audit_netlist(&nl) {
-                    self.store_quarantine(ArtifactKind::Analysis, &keys.analysis, &defect);
-                    return Ok(None);
-                }
-                self.store_put(
-                    ArtifactKind::Cluster,
-                    &keys.cluster,
-                    &encode_cluster_artifact(&encode_canonical(&graph), &clustering),
-                );
-                self.store_put(
-                    ArtifactKind::Netlist,
-                    &keys.netlist,
-                    &encode_netlist_artifact(clustering.len(), csa, &nl.to_bytes()),
-                );
-                Ok(Some(measure(
-                    keys.strategy,
-                    &nl,
-                    clustering.len(),
-                    csa.cpa_count,
-                    csa.csa_depth,
-                    CacheLevel::Analysis,
-                    hash,
-                )))
-            }
-            Err(SynthError::Budget(limit)) => Err(Failure::Budget(limit)),
-            Err(e) => {
-                self.store_quarantine(ArtifactKind::Analysis, &keys.analysis, &e.to_string());
-                Ok(None)
-            }
-        }
-    }
-
     /// The full guarded flow on the canonical twin; healthy results teach
-    /// the store all three levels.
+    /// the store both levels.
     fn run_cold(
         &self,
         req: &Request,
@@ -667,21 +580,17 @@ impl Service {
         let degraded = guarded.degradation.as_ref().map(|d| d.tags()).unwrap_or_default();
         if level == CacheLevel::Miss && degraded.is_empty() {
             let keys = Keys::new(hash, req.strategy, &req.config);
-            // Cluster/analysis artifacts are stored in the transformed
-            // graph's own ids, which must *be* canonical indices for a
-            // later decode to line up. The width pipeline preserves ids
-            // and structure so this holds; verify rather than assume.
+            // Cluster artifacts are stored in the transformed graph's own
+            // ids, which must *be* canonical indices for a later decode to
+            // line up. The width pipeline preserves ids and structure so
+            // this holds; verify rather than assume.
             let opt_form = canonical_form(&flow.graph);
             if opt_form.order.iter().enumerate().all(|(i, n)| n.index() == i) {
-                let graph_bytes = encode_canonical(&flow.graph);
                 self.store_put(
                     ArtifactKind::Cluster,
                     &keys.cluster,
-                    &encode_cluster_artifact(&graph_bytes, &flow.clustering),
+                    &encode_cluster_artifact(&encode_canonical(&flow.graph), &flow.clustering),
                 );
-                if req.strategy == MergeStrategy::New {
-                    self.store_put(ArtifactKind::Analysis, &keys.analysis, &graph_bytes);
-                }
             }
             self.store_put(
                 ArtifactKind::Netlist,
@@ -766,10 +675,6 @@ fn classify_synth(e: &SynthError) -> WorkerError {
     }
 }
 
-fn trip_limit(wd: &Watchdog) -> String {
-    wd.trip().map_or_else(|| "supervision".to_string(), |t| t.to_string())
-}
-
 fn elapsed_us(started: Instant) -> u64 {
     u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
@@ -800,10 +705,9 @@ fn measure(
     }
 }
 
-/// The three cache keys of one request.
+/// The two cache keys of one request.
 struct Keys {
     strategy: MergeStrategy,
-    analysis: String,
     cluster: String,
     netlist: String,
 }
@@ -813,101 +717,22 @@ impl Keys {
         let strat = strategy_fingerprint(strategy);
         Keys {
             strategy,
-            analysis: hash.to_string(),
             cluster: format!("{hash}-{strat}"),
             netlist: format!("{hash}-{strat}-{}", config_fingerprint(config)),
         }
     }
 }
 
-/// The per-request differential-audit oracle: fixed-seed vectors and the
-/// request design's reference outputs. Cached artifacts are synthesized
-/// from the canonical twin, whose interface corresponds to the request's
-/// positionally, so audits compare output position by output position.
-struct Oracle {
-    inputs: Vec<usize>,
-    outputs: Vec<usize>,
-    lanes: Vec<Vec<BitVec>>,
-    expect: Vec<Vec<BitVec>>,
-}
-
-impl Oracle {
-    fn new(g: &Dfg, budget: &FlowBudget) -> Result<Oracle, String> {
-        let mut rng = StdRng::seed_from_u64(budget.check_seed);
-        let lanes: Vec<Vec<BitVec>> =
-            (0..budget.check_vectors.max(1)).map(|_| random_inputs(g, &mut rng)).collect();
-        let mut expect = Vec::with_capacity(lanes.len());
-        for inputs in &lanes {
-            let eval = g
-                .evaluate_full_prevalidated(inputs)
-                .map_err(|e| format!("reference evaluation failed: {e}"))?;
-            expect.push(g.outputs().iter().map(|&o| eval.result(o).clone()).collect());
+/// Renders a netlist audit finding as a quarantine reason. Cached
+/// artifacts are synthesized from the canonical twin, whose interface
+/// corresponds to the request's positionally, so ports are named by
+/// position.
+fn netlist_defect(m: Mismatch) -> String {
+    match m {
+        Mismatch::PortCount => {
+            "stored netlist interface mismatch: output counts differ".to_string()
         }
-        let inputs = g.inputs().iter().map(|&n| g.node(n).width()).collect();
-        let outputs = g.outputs().iter().map(|&n| g.node(n).width()).collect();
-        Ok(Oracle { inputs, outputs, lanes, expect })
-    }
-
-    /// Positional interface compatibility of a stored graph with the
-    /// request design (counts and widths).
-    fn audit_interface(&self, cand: &Dfg) -> Option<String> {
-        if cand.inputs().len() != self.inputs.len() || cand.outputs().len() != self.outputs.len() {
-            return Some("stored artifact interface mismatch: port counts differ".to_string());
-        }
-        for (k, (&n, w)) in cand.inputs().iter().zip(&self.inputs).enumerate() {
-            if cand.node(n).width() != *w {
-                return Some(format!("stored artifact interface mismatch: input {k} width"));
-            }
-        }
-        for (k, (&n, w)) in cand.outputs().iter().zip(&self.outputs).enumerate() {
-            if cand.node(n).width() != *w {
-                return Some(format!("stored artifact interface mismatch: output {k} width"));
-            }
-        }
-        None
-    }
-
-    /// Differential evaluation of a stored graph against the reference.
-    fn audit_graph(&self, cand: &Dfg) -> Option<String> {
-        for (k, (inputs, expect)) in self.lanes.iter().zip(&self.expect).enumerate() {
-            let got = match cand.evaluate_full_prevalidated(inputs) {
-                Ok(v) => v,
-                Err(e) => return Some(format!("stored graph evaluation failed: {e}")),
-            };
-            for (i, (&o, want)) in cand.outputs().iter().zip(expect).enumerate() {
-                if got.result(o) != want {
-                    return Some(format!(
-                        "stored graph differs from design on vector {k} at output {i}"
-                    ));
-                }
-            }
-        }
-        None
-    }
-
-    /// Differential simulation of a stored/rebuilt netlist against the
-    /// reference.
-    fn audit_netlist(&self, nl: &Netlist) -> Option<String> {
-        if let Err(e) = nl.check() {
-            return Some(format!("stored netlist check failed: {e}"));
-        }
-        let batch = match nl.simulate_batch(&self.lanes) {
-            Ok(v) => v,
-            Err(e) => return Some(format!("stored netlist simulation failed: {e}")),
-        };
-        for (k, (expect, got)) in self.expect.iter().zip(&batch).enumerate() {
-            if got.len() != expect.len() {
-                return Some("stored netlist interface mismatch: output counts differ".to_string());
-            }
-            for (i, (want, have)) in expect.iter().zip(got).enumerate() {
-                if want != have {
-                    return Some(format!(
-                        "stored netlist differs from design on vector {k} at output {i}"
-                    ));
-                }
-            }
-        }
-        None
+        other => format!("stored netlist {other}"),
     }
 }
 
@@ -1041,7 +866,6 @@ fn render_stats(s: &ServeStats, store: Option<StoreStats>) -> String {
             Json::obj()
                 .field("hits_netlist", s.hits_netlist)
                 .field("hits_cluster", s.hits_cluster)
-                .field("hits_analysis", s.hits_analysis)
                 .field("misses", s.misses)
                 .field("hit_rate", s.hit_rate()),
         )

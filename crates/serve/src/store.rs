@@ -1,10 +1,11 @@
 //! Crash-safe content-addressed artifact store.
 //!
-//! The service caches flow artifacts at three granularities — width
-//! `analysis` results, `cluster`ings, and synthesized `netlist`s — keyed
-//! by the canonical structural hash of the request design (plus strategy
-//! and synthesis-config fingerprints where they matter). The store is a
-//! plain directory:
+//! The service caches flow artifacts at two granularities — `cluster`ings
+//! and synthesized `netlist`s — keyed by the canonical structural hash of
+//! the request design plus strategy and synthesis-config fingerprints.
+//! A third kind, width `analysis` results, is no longer written or looked
+//! up; it stays a known kind so stores written with it still open and
+//! recover intact. The store is a plain directory:
 //!
 //! ```text
 //! <root>/manifest.log            append-only journal, one line per put
@@ -41,7 +42,8 @@ const HEADER_LEN: usize = 4 + 16;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ArtifactKind {
     /// A width-optimized design (canonical encoding of the post-analysis
-    /// graph).
+    /// graph). The service no longer reads or writes this kind; it is
+    /// kept so that stores holding such entries still recover them.
     Analysis,
     /// A clustering plus the graph it partitions.
     Cluster,

@@ -8,8 +8,11 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use dp_bitvec::Signedness::Unsigned;
-use dp_dfg::{canonical_form, Dfg, OpKind};
+use dp_dfg::{canonical_form, encode_canonical, Dfg, OpKind};
+use dp_serve::codec::{decode_cluster_artifact, strategy_fingerprint};
 use dp_serve::{ArtifactKind, ServeOptions, Service, Store};
+use dp_synth::MergeStrategy;
+use dp_testcases::named_design;
 
 fn temp_root(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("dp-serve-it-{tag}-{}", std::process::id()));
@@ -199,6 +202,51 @@ fn crash_mid_write_then_restart_recovers_with_identical_qor() {
     let warm = serve(&service, "{\"id\":\"k\",\"source\":\"v1\"}\n");
     assert!(warm[0].contains("\"level\":\"netlist\""), "{}", warm[0]);
     assert_eq!(scrub(&warm[0]), baseline);
+    let _ = fs::remove_dir_all(&root);
+}
+
+#[test]
+fn a_store_holding_analysis_entries_still_serves_netlist_and_cluster_hits() {
+    let root = temp_root("analysis-entry");
+    let exact = "{\"id\":\"e\",\"design\":\"D1\"}\n";
+    let ripple = "{\"id\":\"r\",\"design\":\"D1\",\"adder\":\"ripple\"}\n";
+    let cold = {
+        let service =
+            Service::new(ServeOptions::default()).with_store(Store::open(&root).expect("store"));
+        serve(&service, exact)
+    };
+    assert!(cold[0].contains("\"level\":\"miss\""), "{}", cold[0]);
+
+    // Write the entry the service used to store beside every new-merge
+    // cluster entry: the width-optimized graph, keyed by the design hash.
+    let hash = canonical_form(&named_design("D1").expect("builtin")).hash;
+    let analysis = {
+        let mut store = Store::open(&root).expect("store");
+        let key = format!("{hash}-{}", strategy_fingerprint(MergeStrategy::New));
+        let cluster = store.get(ArtifactKind::Cluster, &key).expect("cold run stored a clustering");
+        let (graph, _) = decode_cluster_artifact(&cluster).expect("cluster entry decodes");
+        let bytes = encode_canonical(&graph);
+        store.put(ArtifactKind::Analysis, &hash, &bytes).expect("put");
+        bytes
+    };
+
+    // The store reopens without a quarantine, and new-merge requests are
+    // answered from the netlist and cluster levels as before.
+    let service =
+        Service::new(ServeOptions::default()).with_store(Store::open(&root).expect("reopen"));
+    assert!(service.store_diagnostics().is_empty(), "{:?}", service.store_diagnostics());
+    let warm = serve(&service, &format!("{exact}{ripple}"));
+    assert!(warm[0].contains("\"level\":\"netlist\""), "{}", warm[0]);
+    assert_eq!(scrub(&warm[0]), scrub(&cold[0]));
+    assert!(warm[1].contains("\"level\":\"cluster\""), "{}", warm[1]);
+    let ripple_cold = serve(&Service::new(ServeOptions::default()), ripple);
+    assert_eq!(scrub(&warm[1]), scrub(&ripple_cold[0]));
+    let stats = service.store_stats().expect("store attached");
+    assert_eq!((stats.quarantined, stats.writes), (0, 1), "{stats:?}");
+
+    // The analysis entry is neither read nor replaced.
+    let mut store = Store::open(&root).expect("reopen");
+    assert_eq!(store.get(ArtifactKind::Analysis, &hash), Some(analysis));
     let _ = fs::remove_dir_all(&root);
 }
 

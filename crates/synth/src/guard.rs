@@ -18,9 +18,12 @@
 //! 2. **Clustering** — must pass [`Clustering::validate`] and the
 //!    cluster-legality audit. On failure the flow retreats to **singleton
 //!    clusters** (one carry-propagate adder per operator — always legal).
-//! 3. **Netlist** — must pass [`Netlist::check`] and differential
-//!    simulation against the input design. On failure the flow descends
-//!    the same ladder: singleton clusters first, then the raw design.
+//! 3. **Netlist** — must pass [`dp_netlist::Netlist::check`] and
+//!    differential simulation against the input design. On failure the
+//!    flow descends the same ladder: singleton clusters first, then the
+//!    raw design.
+//!
+//! Both differential audits share one [`Equiv`] oracle.
 //!
 //! Every retreat is recorded as a [`Degradation`] step in a
 //! [`DegradationReport`], mirrored into
@@ -38,15 +41,12 @@ use dp_analysis::{
     optimize_widths_budgeted_with, optimize_widths_rp_only_with, IntrinsicOverrides,
     PipelineBudget, TransformReport,
 };
-use dp_bitvec::BitVec;
-use dp_dfg::gen::random_inputs;
 use dp_dfg::Dfg;
 use dp_merge::{cluster_leakage, cluster_none, refine_clusters_with, Clustering, MergeReport};
 use dp_metrics::{FlowMetrics, Recorder, Watchdog};
-use dp_netlist::Netlist;
 use dp_trace::{Rule, Subject, TraceLog};
-use rand::{rngs::StdRng, SeedableRng};
 
+use crate::equiv::Equiv;
 use crate::flow::{synthesize_watched, widths, FlowResult, MergeStrategy, SynthError};
 use crate::SynthConfig;
 
@@ -311,10 +311,12 @@ fn drive(
     tr: &mut TraceLog,
 ) -> Result<GuardedFlow, SynthError> {
     g.validate()?;
-    // One oracle serves every differential audit of this flow. Building
-    // it can only fail on a design whose reference evaluation fails —
-    // nothing the fallback ladder could repair.
-    let oracle = AuditOracle::new(g, budget).map_err(SynthError::Audit)?;
+    // One oracle serves every differential audit of this flow: the width
+    // and netlist audits draw the same vectors, so the design is evaluated
+    // once up front. Building it can only fail on a design whose reference
+    // evaluation fails — nothing the fallback ladder could repair.
+    let oracle = Equiv::new(g, budget.check_seed, budget.check_vectors)
+        .map_err(|e| SynthError::Audit(format!("reference evaluation failed: {e}")))?;
     let whole = rec.span(format!("guarded flow {strategy}"));
     let mut report = DegradationReport::default();
     let subject = Subject::Node(g.outputs().first().map_or(0, |n| n.index()));
@@ -399,11 +401,13 @@ fn drive(
         if wd.poll() {
             break Err(SynthError::Budget(supervision_limit(&wd)));
         }
+        // The netlist is audited against the *input* design, not the
+        // transformed graph, so a width-stage escape is still caught here.
         let attempt =
             synthesize_watched(&graph, &clustering, config, rec, &wd).and_then(|(nl, csa)| {
-                match audit_netlist(g, &nl, &oracle) {
+                match oracle.netlist_mismatch(&nl) {
                     None => Ok((nl, csa)),
-                    Some(reason) => Err(SynthError::Audit(reason)),
+                    Some(m) => Err(SynthError::Audit(m.describe("netlist", g))),
                 }
             });
         match attempt {
@@ -486,7 +490,7 @@ fn audit_widths(
     base: &Dfg,
     graph: &Dfg,
     transform: &TransformReport,
-    oracle: &AuditOracle,
+    oracle: &Equiv,
     at_fixpoint: bool,
 ) -> Option<String> {
     if let Some(b) = transform.budget_breach {
@@ -511,7 +515,7 @@ fn audit_widths(
     }
     #[cfg(not(feature = "verify"))]
     let _ = at_fixpoint;
-    graphs_differ(base, graph, oracle)
+    oracle.graph_mismatch(graph).map(|m| m.describe("transformed graph", base))
 }
 
 /// Audits a clustering for structural fit and (with the `verify` feature)
@@ -535,87 +539,6 @@ fn audit_clustering(graph: &Dfg, clustering: &Clustering, at_fixpoint: bool) -> 
     None
 }
 
-/// Audits a synthesized netlist: structural check plus differential
-/// simulation against the *input* design (not the transformed graph, so a
-/// width-stage escape is still caught here).
-fn audit_netlist(base: &Dfg, nl: &Netlist, oracle: &AuditOracle) -> Option<String> {
-    if let Err(e) = nl.check() {
-        return Some(format!("netlist check failed: {e}"));
-    }
-    // The whole lane batch evaluates in one word-parallel netlist pass;
-    // the reference outputs were computed once when the oracle was built.
-    let batch = match nl.simulate_batch(&oracle.lanes) {
-        Ok(v) => v,
-        Err(e) => return Some(format!("netlist simulation failed: {e}")),
-    };
-    for (k, (expect, got)) in oracle.expect.iter().zip(&batch).enumerate() {
-        for (i, (&o, want)) in base.outputs().iter().zip(expect).enumerate() {
-            if got[i] != *want {
-                return Some(format!(
-                    "netlist differs from design on vector {k} at output {}",
-                    base.node(o).name().unwrap_or("?")
-                ));
-            }
-        }
-    }
-    None
-}
-
-/// The shared differential-audit oracle of one guarded flow: the fixed
-/// audit vectors and the base design's reference outputs. The width and
-/// netlist audits draw the *same* vector stream (one seed, one budget),
-/// so the reference is evaluated once up front instead of once per audit
-/// — at a hundred thousand nodes the repeated reference evaluations cost
-/// more than the stages they guard.
-struct AuditOracle {
-    /// One input vector per audit lane.
-    lanes: Vec<Vec<BitVec>>,
-    /// Per lane: the base design's outputs, in `Dfg::outputs` order.
-    expect: Vec<Vec<BitVec>>,
-}
-
-impl AuditOracle {
-    /// Draws the audit vectors and evaluates the (already validated) base
-    /// design on each.
-    fn new(base: &Dfg, budget: &FlowBudget) -> Result<AuditOracle, String> {
-        let mut rng = StdRng::seed_from_u64(budget.check_seed);
-        let lanes: Vec<Vec<BitVec>> =
-            (0..budget.check_vectors).map(|_| random_inputs(base, &mut rng)).collect();
-        let mut expect = Vec::with_capacity(lanes.len());
-        for inputs in &lanes {
-            let eval = base
-                .evaluate_full_prevalidated(inputs)
-                .map_err(|e| format!("reference evaluation failed: {e}"))?;
-            expect.push(base.outputs().iter().map(|&o| eval.result(o).clone()).collect());
-        }
-        Ok(AuditOracle { lanes, expect })
-    }
-}
-
-/// Differential evaluation of a transformed graph against the oracle's
-/// reference outputs. Returns a description of the first mismatch.
-///
-/// The transformed graph shares the base design's node ids (width
-/// transformations never renumber), so the base's output ids index its
-/// evaluation directly.
-fn graphs_differ(base: &Dfg, cand: &Dfg, oracle: &AuditOracle) -> Option<String> {
-    for (k, (inputs, expect)) in oracle.lanes.iter().zip(&oracle.expect).enumerate() {
-        let got = match cand.evaluate_full_prevalidated(inputs) {
-            Ok(v) => v,
-            Err(e) => return Some(format!("transformed graph evaluation failed: {e}")),
-        };
-        for (&o, want) in base.outputs().iter().zip(expect) {
-            if got.result(o) != want {
-                return Some(format!(
-                    "transformed graph differs from design on vector {k} at output {}",
-                    base.node(o).name().unwrap_or("?")
-                ));
-            }
-        }
-    }
-    None
-}
-
 /// Renders the limit a tripped watchdog hit (for [`SynthError::Budget`]).
 fn supervision_limit(wd: &Watchdog) -> String {
     wd.trip().map_or_else(|| "supervision".to_string(), |t| t.to_string())
@@ -634,6 +557,7 @@ mod tests {
     use dp_bitvec::Signedness::*;
     use dp_dfg::gen::{random_dfg, GenConfig};
     use dp_dfg::OpKind;
+    use rand::{rngs::StdRng, SeedableRng};
 
     fn sum_of_products() -> Dfg {
         let mut g = Dfg::new();
@@ -702,8 +626,9 @@ mod tests {
         assert_eq!(report.steps[0].fallback, Fallback::RpOnly);
         assert!(guarded.flow.metrics.degraded);
         assert_eq!(guarded.flow.metrics.fallbacks[0], "FALLBACK-RP-ONLY");
-        let oracle = AuditOracle::new(&g, &FlowBudget::default()).unwrap();
-        assert!(audit_netlist(&g, &guarded.flow.netlist, &oracle).is_none());
+        let defaults = FlowBudget::default();
+        let oracle = Equiv::new(&g, defaults.check_seed, defaults.check_vectors).unwrap();
+        assert_eq!(oracle.netlist_mismatch(&guarded.flow.netlist), None);
     }
 
     #[test]

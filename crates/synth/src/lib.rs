@@ -59,6 +59,7 @@
 mod adders;
 mod cluster;
 mod columns;
+mod equiv;
 mod flow;
 mod guard;
 mod product;
@@ -67,6 +68,7 @@ mod signals;
 pub use adders::{carry_select_add, kogge_stone_add, ripple_carry_add};
 pub use cluster::{synthesize_sum, synthesize_sum_with, SumStats};
 pub use columns::Columns;
+pub use equiv::{Equiv, Mismatch};
 pub use flow::{
     run_flow, run_flow_with, synthesize, synthesize_watched, synthesize_with, CsaStats, FlowResult,
     MergeStrategy, SynthError,

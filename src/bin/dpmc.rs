@@ -105,13 +105,14 @@
 //! to `--retries` times. `--store DIR` attaches the crash-safe
 //! content-addressed artifact store: results are keyed by the design's
 //! canonical structural hash (invariant under node-id permutation and
-//! port renaming) at three granularities, every hit is differentially
-//! audited against the submitted design, and corrupt or truncated
-//! entries are quarantined as a miss — never a crash, never a wrong
-//! answer. `dpmc faultcheck --serve` drives the nine-scenario service
-//! chaos matrix (panics, retry exhaustion, deadline/memory breaches,
-//! store truncation/bit-flips/torn journals/stale temps/crash-restart)
-//! and gates on the contract holding for every one.
+//! port renaming) at two granularities (netlist and clustering), every
+//! hit is differentially audited against the submitted design, and
+//! corrupt or truncated entries are quarantined as a miss — never a
+//! crash, never a wrong answer. `dpmc faultcheck --serve` drives the
+//! nine-scenario service chaos matrix (panics, retry exhaustion,
+//! deadline/memory breaches, store truncation/bit-flips/torn
+//! journals/stale temps/crash-restart) and gates on the contract holding
+//! for every one.
 //!
 //! The main flow, `bench` and `faultcheck` accept `--events FILE` to
 //! stream every telemetry event — spans, pipeline rounds, op-kind costs,
@@ -1286,7 +1287,7 @@ fn run_serve(args: &Args) -> Result<bool, FlowError> {
     }
     eprintln!(
         "dpmc serve: {} request(s): {} ok, {} degraded, {} deadline, {} memory, {} error(s); \
-         cache hits {} ({} netlist, {} cluster, {} analysis), hit rate {:.2}, {} retry(ies), \
+         cache hits {} ({} netlist, {} cluster), hit rate {:.2}, {} retry(ies), \
          throughput {:.1} rps",
         stats.requests,
         stats.ok,
@@ -1297,7 +1298,6 @@ fn run_serve(args: &Args) -> Result<bool, FlowError> {
         stats.hits(),
         stats.hits_netlist,
         stats.hits_cluster,
-        stats.hits_analysis,
         stats.hit_rate(),
         stats.retries,
         stats.throughput_rps()
@@ -1485,7 +1485,19 @@ fn run(args: &Args) -> Result<(), FlowError> {
         }
 
         if args.check > 0 {
-            check_equivalence(&g, &netlist, args.check)?;
+            let found = Equiv::stream_netlist_mismatch(&g, &netlist, 0xD93C, args.check)
+                .map_err(|e| FlowError::Netlist(e.to_string()))?;
+            if let Some(m) = found {
+                return Err(FlowError::Netlist(match m {
+                    Mismatch::Value { output, .. } => format!(
+                        "netlist differs from design at output `{}`",
+                        g.node(g.outputs()[output]).name().unwrap_or("?")
+                    ),
+                    Mismatch::Check(e) => format!("invalid netlist: {e}"),
+                    Mismatch::Simulate(e) => e,
+                    other => other.to_string(),
+                }));
+            }
             println!("[{strategy}] verified against the design on {} random vectors", args.check);
         }
 
@@ -1511,23 +1523,4 @@ fn run(args: &Args) -> Result<(), FlowError> {
 fn module_name(file: &str) -> String {
     let base = std::path::Path::new(file).file_stem().and_then(|s| s.to_str()).unwrap_or("design");
     base.chars().map(|c| if c.is_ascii_alphanumeric() { c } else { '_' }).collect()
-}
-
-fn check_equivalence(g: &Dfg, netlist: &Netlist, trials: usize) -> Result<(), FlowError> {
-    use rand::{rngs::StdRng, SeedableRng};
-    let mut rng = StdRng::seed_from_u64(0xD93C);
-    for _ in 0..trials {
-        let inputs = datapath_merge::dfg::gen::random_inputs(g, &mut rng);
-        let expect = g.evaluate(&inputs).map_err(|e| FlowError::Netlist(e.to_string()))?;
-        let got = netlist.simulate(&inputs).map_err(|e| FlowError::Netlist(e.to_string()))?;
-        for (k, o) in g.outputs().iter().enumerate() {
-            if got[k] != expect[o] {
-                return Err(FlowError::Netlist(format!(
-                    "netlist differs from design at output `{}`",
-                    g.node(*o).name().unwrap_or("?")
-                )));
-            }
-        }
-    }
-    Ok(())
 }

@@ -272,10 +272,10 @@ impl OverheadReport {
 /// Measures the observability layer's cost on one design and proves its
 /// level-invariance: the new-merge flow is run at every [`Level`]
 /// (identical QoR documents and trace sequences required), then timed
-/// best-of-`trials` at `off` and `full`. Passes when the flow is
-/// invariant and full telemetry costs at most `max_pct` percent over
-/// `off` (plus a 2 ms absolute slack so sub-millisecond flows cannot
-/// fail on scheduling noise).
+/// best-of-`trials` at `off` and `full`, the two levels' trials
+/// interleaved. Passes when the flow is invariant and full telemetry
+/// costs at most `max_pct` percent over `off` (plus a 2 ms absolute slack
+/// so sub-millisecond flows cannot fail on scheduling noise).
 pub fn telemetry_overhead(
     name: &str,
     g: &Dfg,
@@ -297,20 +297,26 @@ pub fn telemetry_overhead(
         invariant &= qor == qor_off && trace == trace_off;
     }
 
-    let wall = |level: Level| -> Result<Duration, WorkerError> {
-        let mut best = Duration::MAX;
-        for _ in 0..trials.max(1) {
-            let mut rec = Recorder::with_level(level);
-            let mut tr = TraceLog::new();
-            let started = Instant::now();
-            run_flow_with(g, MergeStrategy::New, config, &mut rec, &mut tr)
-                .map_err(|e| classify_flow(&format!("{name} [{}]", level.name()), e))?;
-            best = best.min(started.elapsed());
-        }
-        Ok(best)
+    // The two levels' trials alternate, and so does which level runs
+    // first in a pair, so a slow spell of the host lands on both sides.
+    let time = |level: Level| -> Result<Duration, WorkerError> {
+        let mut rec = Recorder::with_level(level);
+        let mut tr = TraceLog::new();
+        let started = Instant::now();
+        run_flow_with(g, MergeStrategy::New, config, &mut rec, &mut tr)
+            .map_err(|e| classify_flow(&format!("{name} [{}]", level.name()), e))?;
+        Ok(started.elapsed())
     };
-    let off = wall(Level::Off)?;
-    let full = wall(Level::Full)?;
+    let (mut off, mut full) = (Duration::MAX, Duration::MAX);
+    for trial in 0..trials.max(1) {
+        if trial % 2 == 0 {
+            off = off.min(time(Level::Off)?);
+            full = full.min(time(Level::Full)?);
+        } else {
+            full = full.min(time(Level::Full)?);
+            off = off.min(time(Level::Off)?);
+        }
+    }
     let (off_us, full_us) = (off.as_micros(), full.as_micros());
     let overhead_pct =
         if off_us == 0 { 0.0 } else { (full_us as f64 - off_us as f64) / off_us as f64 * 100.0 };

@@ -106,7 +106,8 @@ pub mod prelude {
     pub use dp_opt::{optimize, OptConfig};
     pub use dp_synth::{
         run_flow, run_flow_guarded, run_flow_guarded_with, run_flow_with, synthesize, AdderKind,
-        DegradationReport, FlowBudget, GuardedFlow, MergeStrategy, ReductionKind, SynthConfig,
+        DegradationReport, Equiv, FlowBudget, GuardedFlow, MergeStrategy, Mismatch, ReductionKind,
+        SynthConfig,
     };
     pub use dp_trace::{EventId, Rule, Subject, TraceEvent, TraceLog};
     pub use dp_verify::{Code, Context, Diagnostic, Severity, Verifier, VerifyReport};

@@ -9,7 +9,7 @@ fn dpmc() -> Command {
 #[test]
 fn runs_all_flows_on_a_design_file() {
     let out = dpmc()
-        .args(["designs/sop.dp", "--flow", "all", "--check", "10"])
+        .args(["designs/sop.dp", "--flow", "all", "--check", "100"])
         .output()
         .expect("dpmc runs");
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
