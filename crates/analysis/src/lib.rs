@@ -65,8 +65,8 @@ pub use ic::Ic;
 pub use info::{info_content, info_content_with, InfoAnalysis, IntrinsicOverrides};
 pub use pipeline::{
     optimize_widths, optimize_widths_budgeted, optimize_widths_budgeted_with, optimize_widths_full,
-    optimize_widths_full_with, optimize_widths_rp_only_with, optimize_widths_with, BudgetBreach,
-    Pass, PipelineBudget, RoundStats, TransformReport,
+    optimize_widths_full_with, optimize_widths_rp_only_with, BudgetBreach, Pass, PipelineBudget,
+    RoundStats, TransformReport,
 };
 pub use precision::{required_precision, rp_transform, rp_transform_with, PrecisionAnalysis};
 pub use profile::{kind_index, KindCounts, KIND_NAMES, NUM_KINDS};

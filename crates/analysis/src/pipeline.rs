@@ -284,28 +284,7 @@ const MAX_ROUNDS: usize = 9;
 ///
 /// Panics if the graph is cyclic or structurally invalid.
 pub fn optimize_widths(g: &mut Dfg) -> TransformReport {
-    optimize_widths_with(g, &mut Recorder::disabled(), &mut TraceLog::disabled())
-}
-
-/// [`optimize_widths`] with timing spans and decision provenance: one span
-/// per fixpoint round with child spans for the required-precision sweep,
-/// the information-content edge sweep, and node pruning; every width
-/// change the passes make is also recorded in `tr` with its causal parent
-/// (see [`dp_trace`]).
-///
-/// This is the **incremental** pipeline: round 1 runs full sweeps, and
-/// from round 2 on only ports whose analysis inputs changed are revisited
-/// (see the `worklist` module docs). The graph mutations, trace
-/// events, and per-round change counters are identical to
-/// [`optimize_widths_full_with`] — enforced by the differential property
-/// tests in `tests/incremental.rs` — while [`RoundStats::ports_skipped`]
-/// records the analysis work avoided.
-///
-/// # Panics
-///
-/// Panics if the graph is cyclic or structurally invalid.
-pub fn optimize_widths_with(g: &mut Dfg, rec: &mut Recorder, tr: &mut TraceLog) -> TransformReport {
-    optimize_widths_budgeted_with(g, &PipelineBudget::default(), rec, tr)
+    optimize_widths_budgeted(g, &PipelineBudget::default())
 }
 
 /// [`optimize_widths`] under explicit resource caps.
@@ -324,7 +303,19 @@ pub fn optimize_widths_budgeted(g: &mut Dfg, budget: &PipelineBudget) -> Transfo
     optimize_widths_budgeted_with(g, budget, &mut Recorder::disabled(), &mut TraceLog::disabled())
 }
 
-/// [`optimize_widths_budgeted`] with timing spans and decision provenance.
+/// [`optimize_widths_budgeted`] with timing spans and decision provenance:
+/// one span per fixpoint round with child spans for the
+/// required-precision sweep, the information-content edge sweep, and node
+/// pruning; every width change the passes make is also recorded in `tr`
+/// with its causal parent (see [`dp_trace`]).
+///
+/// This is the **incremental** pipeline: round 1 runs full sweeps, and
+/// from round 2 on only ports whose analysis inputs changed are revisited
+/// (see the `worklist` module docs). The graph mutations, trace
+/// events, and per-round change counters are identical to
+/// [`optimize_widths_full_with`] — enforced by the differential property
+/// tests in `tests/incremental.rs` — while [`RoundStats::ports_skipped`]
+/// records the analysis work avoided.
 ///
 /// # Panics
 ///
@@ -469,7 +460,7 @@ pub fn optimize_widths_full(g: &mut Dfg) -> TransformReport {
 }
 
 /// [`optimize_widths_full`] with timing spans and decision provenance; the
-/// span skeleton matches [`optimize_widths_with`].
+/// span skeleton matches [`optimize_widths_budgeted_with`].
 ///
 /// # Panics
 ///
@@ -632,7 +623,12 @@ mod tests {
         for case in 0..10 {
             let mut g = random_dfg(&mut rng, &GenConfig::default());
             let mut rec = dp_metrics::Recorder::new();
-            let report = optimize_widths_with(&mut g, &mut rec, &mut TraceLog::disabled());
+            let report = optimize_widths_budgeted_with(
+                &mut g,
+                &PipelineBudget::default(),
+                &mut rec,
+                &mut TraceLog::disabled(),
+            );
             assert_eq!(report.history.len(), report.rounds, "case {case}");
             assert_eq!(
                 report.history.iter().map(|r| r.node_width_changes).sum::<usize>(),

@@ -1,11 +1,13 @@
 //! Differential equivalence: the incremental worklist pipeline
-//! ([`optimize_widths_with`]) must be observationally identical to the
+//! ([`optimize_widths_budgeted_with`] at the default budget) must be observationally identical to the
 //! full-sweep reference ([`optimize_widths_full_with`]) — same final
 //! graph, same trace-event stream, same per-round change counters — on
 //! random designs. Only the work counters (`worklist_pushes`,
 //! `ports_visited`, `ports_skipped`) and wall-times may differ.
 
-use dp_analysis::{optimize_widths_full_with, optimize_widths_with, TransformReport};
+use dp_analysis::{
+    optimize_widths_budgeted_with, optimize_widths_full_with, PipelineBudget, TransformReport,
+};
 use dp_dfg::gen::{random_dfg, random_inputs, GenConfig};
 use dp_dfg::Dfg;
 use dp_metrics::Recorder;
@@ -54,7 +56,12 @@ fn round_changes(r: &TransformReport) -> Vec<(usize, usize, usize, usize, usize,
 fn run_both(g0: &Dfg) -> (Dfg, TransformReport, TraceLog, Dfg, TransformReport, TraceLog) {
     let mut g_inc = g0.clone();
     let mut tr_inc = TraceLog::new();
-    let rep_inc = optimize_widths_with(&mut g_inc, &mut Recorder::disabled(), &mut tr_inc);
+    let rep_inc = optimize_widths_budgeted_with(
+        &mut g_inc,
+        &PipelineBudget::default(),
+        &mut Recorder::disabled(),
+        &mut tr_inc,
+    );
     let mut g_full = g0.clone();
     let mut tr_full = TraceLog::new();
     let rep_full = optimize_widths_full_with(&mut g_full, &mut Recorder::disabled(), &mut tr_full);
@@ -102,7 +109,12 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5C1F);
         let g0 = random_dfg(&mut rng, &GenConfig { num_ops: ops, ..GenConfig::default() });
         let mut g = g0.clone();
-        let rep = optimize_widths_with(&mut g, &mut Recorder::disabled(), &mut TraceLog::disabled());
+        let rep = optimize_widths_budgeted_with(
+            &mut g,
+            &PipelineBudget::default(),
+            &mut Recorder::disabled(),
+            &mut TraceLog::disabled(),
+        );
         for (i, s) in rep.history.iter().enumerate() {
             if i == 0 {
                 // Round 1 is a full sweep by construction.

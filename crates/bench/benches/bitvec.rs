@@ -10,7 +10,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use dp_bitvec::{BitVec, RefBitVec};
 use dp_dfg::gen::random_inputs;
-use dp_synth::{run_flow, MergeStrategy, SynthConfig};
+use dp_synth::{run_flow_guarded, FlowBudget, MergeStrategy, SynthConfig};
 use dp_testcases::scaling_design;
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -128,9 +128,14 @@ fn bench_sim(c: &mut Criterion) {
     group.sample_size(10);
     for &ops in &[16usize, 64] {
         let g = scaling_design(ops);
-        let flow = run_flow(&g, MergeStrategy::New, &SynthConfig::default())
-            .expect("scaling design synthesizes");
-        let nl = flow.netlist;
+        let guarded = run_flow_guarded(
+            &g,
+            MergeStrategy::New,
+            &SynthConfig::default(),
+            &FlowBudget::default(),
+        )
+        .expect("scaling design synthesizes");
+        let nl = guarded.flow.netlist;
         let mut rng = StdRng::seed_from_u64(0xBE7C);
         let lanes: Vec<_> = (0..64).map(|_| random_inputs(&g, &mut rng)).collect();
 

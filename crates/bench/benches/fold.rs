@@ -23,14 +23,17 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dp_bitvec::BitVec;
 use dp_netlist::{GateId, Library, Netlist};
 use dp_opt::fold_constants;
-use dp_synth::{run_flow, MergeStrategy, SynthConfig};
+use dp_synth::{run_flow_guarded, FlowBudget, MergeStrategy, SynthConfig};
 use dp_testcases::scaling::scaling_design;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 fn synthesized(ops: usize) -> Netlist {
     let g = scaling_design(ops);
-    run_flow(&g, MergeStrategy::New, &SynthConfig::default()).expect("synthesis").netlist
+    run_flow_guarded(&g, MergeStrategy::New, &SynthConfig::default(), &FlowBudget::default())
+        .expect("synthesis")
+        .flow
+        .netlist
 }
 
 fn bench_fold(c: &mut Criterion) {

@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dp_merge::cluster_max;
 use dp_netlist::Library;
-use dp_synth::{run_flow, MergeStrategy, SynthConfig};
+use dp_synth::{run_flow_guarded, FlowBudget, MergeStrategy, SynthConfig};
 use dp_testcases::csd::multiplierless_fir;
 use dp_testcases::families::dot_product;
 
@@ -18,8 +18,12 @@ fn bench_scaling(c: &mut Criterion) {
     eprintln!("[scaling] dot-product quality (merged vs unmerged):");
     for n in [2usize, 4, 8, 16] {
         let g = dot_product(n, 8);
-        let merged = run_flow(&g, MergeStrategy::New, &config).expect("synthesis");
-        let unmerged = run_flow(&g, MergeStrategy::None, &config).expect("synthesis");
+        let merged = run_flow_guarded(&g, MergeStrategy::New, &config, &FlowBudget::default())
+            .expect("synthesis")
+            .flow;
+        let unmerged = run_flow_guarded(&g, MergeStrategy::None, &config, &FlowBudget::default())
+            .expect("synthesis")
+            .flow;
         eprintln!(
             "  n={n:>2}: merged {:.3} ns vs unmerged {:.3} ns ({} vs {} clusters)",
             merged.netlist.longest_path(&lib).delay_ns,
@@ -40,7 +44,11 @@ fn bench_scaling(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("synthesize_dot", n), &g, |b, g| {
             b.iter(|| {
-                run_flow(g, MergeStrategy::New, &config).expect("synthesis").netlist.num_gates()
+                run_flow_guarded(g, MergeStrategy::New, &config, &FlowBudget::default())
+                    .expect("synthesis")
+                    .flow
+                    .netlist
+                    .num_gates()
             })
         });
     }

@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dp_netlist::Library;
-use dp_synth::{run_flow, MergeStrategy, SynthConfig};
+use dp_synth::{run_flow_guarded, FlowBudget, MergeStrategy, SynthConfig};
 use dp_testcases::all_designs;
 
 fn bench_flows(c: &mut Criterion) {
@@ -21,7 +21,9 @@ fn bench_flows(c: &mut Criterion) {
                 &t.dfg,
                 |b, g| {
                     b.iter(|| {
-                        let flow = run_flow(g, strategy, &config).expect("synthesis");
+                        let flow = run_flow_guarded(g, strategy, &config, &FlowBudget::default())
+                            .expect("synthesis")
+                            .flow;
                         // Folding + timing is part of the measured flow.
                         let mut nl = flow.netlist;
                         dp_opt::fold_constants(&mut nl);

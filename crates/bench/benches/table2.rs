@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dp_netlist::Library;
 use dp_opt::{optimize, OptConfig};
-use dp_synth::{run_flow, MergeStrategy, SynthConfig};
+use dp_synth::{run_flow_guarded, FlowBudget, MergeStrategy, SynthConfig};
 use dp_testcases::all_designs;
 
 fn bench_optimization(c: &mut Criterion) {
@@ -18,14 +18,22 @@ fn bench_optimization(c: &mut Criterion) {
     for t in all_designs() {
         // Fix the target halfway between the flows' post-synthesis
         // delays, as the table2 binary does.
-        let new_flow = run_flow(&t.dfg, MergeStrategy::New, &config).expect("synthesis");
-        let old_flow = run_flow(&t.dfg, MergeStrategy::Old, &config).expect("synthesis");
+        let new_flow =
+            run_flow_guarded(&t.dfg, MergeStrategy::New, &config, &FlowBudget::default())
+                .expect("synthesis")
+                .flow;
+        let old_flow =
+            run_flow_guarded(&t.dfg, MergeStrategy::Old, &config, &FlowBudget::default())
+                .expect("synthesis")
+                .flow;
         let d_new = new_flow.netlist.longest_path(&lib).delay_ns;
         let d_old = old_flow.netlist.longest_path(&lib).delay_ns;
         let target = d_new + 0.5 * (d_old - d_new).max(0.0);
         let opt_config = OptConfig { target_delay_ns: target, ..OptConfig::default() };
         for strategy in [MergeStrategy::Old, MergeStrategy::New] {
-            let flow = run_flow(&t.dfg, strategy, &config).expect("synthesis");
+            let flow = run_flow_guarded(&t.dfg, strategy, &config, &FlowBudget::default())
+                .expect("synthesis")
+                .flow;
             group.bench_with_input(
                 BenchmarkId::new(format!("{strategy}"), t.name),
                 &flow.netlist,

@@ -6,7 +6,9 @@
 use dp_dfg::gen::{random_dfg, random_inputs, GenConfig};
 use dp_netlist::Library;
 use dp_opt::{optimize, OptConfig};
-use dp_synth::{run_flow, AdderKind, MergeStrategy, ReductionKind, SynthConfig};
+use dp_synth::{
+    run_flow_guarded, AdderKind, FlowBudget, MergeStrategy, ReductionKind, SynthConfig,
+};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 fn main() {
@@ -31,8 +33,15 @@ fn main() {
             sign_ext_compression: case % 5 != 0,
         };
         for strategy in [MergeStrategy::None, MergeStrategy::Old, MergeStrategy::New] {
-            let flow = match run_flow(&g, strategy, &synth_config) {
-                Ok(f) => f,
+            let flow = match run_flow_guarded(&g, strategy, &synth_config, &FlowBudget::default()) {
+                Ok(guarded) => {
+                    // A retreat means some stage built a bad artifact.
+                    if let Some(d) = &guarded.degradation {
+                        eprint!("case {case} {strategy}: degraded: {}", d.render());
+                        failures += 1;
+                    }
+                    guarded.flow
+                }
                 Err(e) => {
                     eprintln!("case {case} {strategy}: synthesis error {e}");
                     failures += 1;

@@ -30,7 +30,7 @@ use dp_dfg::Dfg;
 use dp_metrics::FlowMetrics;
 use dp_netlist::{Library, Netlist};
 use dp_opt::{optimize, OptConfig};
-use dp_synth::{run_flow, Equiv, FlowResult, MergeStrategy, SynthConfig};
+use dp_synth::{run_flow_guarded, Equiv, FlowBudget, FlowResult, MergeStrategy, SynthConfig};
 use dp_testcases::Testcase;
 
 /// One flow's post-synthesis measurement.
@@ -105,22 +105,27 @@ fn reduction_pct(old: f64, new: f64) -> f64 {
     }
 }
 
-/// Runs one synthesis flow, applies the zero-effort cleanup (constant
-/// folding + dead-gate sweep, same for every flow) and verifies the result
-/// against the DFG evaluator.
+/// Runs one synthesis flow (the guarded driver at its default budget),
+/// applies the zero-effort cleanup (constant folding + dead-gate sweep,
+/// same for every flow) and verifies the result against the DFG
+/// evaluator.
 ///
 /// # Panics
 ///
-/// Panics if synthesis fails or the netlist is not equivalent to the DFG —
-/// a reported number must never come from a broken circuit.
+/// Panics if synthesis fails, the guard had to degrade the flow, or the
+/// netlist is not equivalent to the DFG — a reported number must never
+/// come from a broken circuit, nor from a fallback reported under the
+/// strategy's name.
 pub fn measure_flow(
     g: &Dfg,
     strategy: MergeStrategy,
     config: &SynthConfig,
     lib: &Library,
 ) -> (FlowMeasure, Netlist) {
-    let FlowResult { mut netlist, clustering, metrics, .. } =
-        run_flow(g, strategy, config).expect("synthesis succeeds on valid designs");
+    let guarded = run_flow_guarded(g, strategy, config, &FlowBudget::default())
+        .expect("synthesis succeeds on valid designs");
+    assert!(guarded.degradation.is_none(), "{strategy} degraded: {:?}", guarded.degradation);
+    let FlowResult { mut netlist, clustering, metrics, .. } = guarded.flow;
     dp_opt::fold_constants(&mut netlist);
     netlist = netlist.sweep();
     assert_equivalent(g, &netlist, 20);

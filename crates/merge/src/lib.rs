@@ -60,8 +60,6 @@ pub use addends::{
     linearize_cluster, linearize_member, Addend, AddendKind, LinearizeError, SignalRef,
     SumOfAddends,
 };
-pub use algo::{
-    cluster_leakage, cluster_max, cluster_max_with, cluster_none, refine_clusters_with, MergeReport,
-};
+pub use algo::{cluster_leakage, cluster_max, cluster_none, refine_clusters_with, MergeReport};
 pub use breaks::{find_breaks_leakage, find_breaks_new, find_breaks_new_with, is_mergeable};
 pub use cluster::{Cluster, ClusterError, Clustering};

@@ -4,7 +4,7 @@ use crate::json::Json;
 
 /// QoR counters for one end-to-end flow over one design.
 ///
-/// Structural fields are filled by `dp_synth::run_flow_with`; the
+/// Structural fields are filled by `dp_synth::run_flow_guarded_with`; the
 /// timing-dependent fields (`delay_ns`, `area`) and the verifier counts
 /// are filled by whoever runs STA / `dp_verify` — the crate boundaries
 /// point the other way, so those layers write into this struct rather

@@ -6,9 +6,9 @@
 //! workspace records into, with three deliberately small pieces:
 //!
 //! * [`Recorder`]/[`SpanRecord`] — hierarchical wall-clock timing spans.
-//!   Instrumented entry points (`optimize_widths_with`,
-//!   `cluster_max_with`, `run_flow_with`, `Verifier::run_with`) accept a
-//!   recorder and tag each phase: width-pipeline rounds and passes,
+//!   Instrumented entry points (`optimize_widths_budgeted_with`,
+//!   `refine_clusters_with`, `run_flow_guarded_with`, `Verifier::run_with`)
+//!   accept a recorder and tag each phase: width-pipeline rounds and passes,
 //!   clustering rounds, CSA-tree synthesis, verifier passes. The plain
 //!   wrappers pass [`Recorder::disabled`], which costs nothing.
 //! * [`FlowMetrics`] — QoR counters for one flow over one design: widths

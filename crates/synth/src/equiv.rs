@@ -214,7 +214,7 @@ impl Equiv {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_flow, FlowBudget, MergeStrategy, SynthConfig};
+    use crate::{run_flow_guarded, FlowBudget, MergeStrategy, SynthConfig};
     use dp_bitvec::Signedness::Unsigned;
     use dp_dfg::OpKind;
 
@@ -228,6 +228,19 @@ mod tests {
         let s = g.op(OpKind::Add, 11, &[(m1, Unsigned), (m2, Unsigned)]);
         g.output("r", 11, s, Unsigned);
         (g, m1)
+    }
+
+    /// The new-merge netlist of `g` from an undegraded guarded flow.
+    fn new_merge_netlist(g: &Dfg) -> Netlist {
+        let guarded = run_flow_guarded(
+            g,
+            MergeStrategy::New,
+            &SynthConfig::default(),
+            &FlowBudget::default(),
+        )
+        .unwrap();
+        assert!(guarded.degradation.is_none(), "{:?}", guarded.degradation);
+        guarded.flow.netlist
     }
 
     #[test]
@@ -259,7 +272,7 @@ mod tests {
     fn one_gate_rewire_in_a_netlist_is_reported() {
         let (g, _) = sum_of_products();
         let oracle = Equiv::new(&g, 0x5EED, 16).unwrap();
-        let mut nl = run_flow(&g, MergeStrategy::New, &SynthConfig::default()).unwrap().netlist;
+        let mut nl = new_merge_netlist(&g);
         assert_eq!(oracle.netlist_mismatch(&nl), None);
 
         // Tie one input pin of the gate driving the result's LSB high.
@@ -294,7 +307,7 @@ mod tests {
         // Every single-pin tie of every gate in the fan-in of the result:
         // the streamed check reports exactly what one oracle over all
         // vectors reports, including wrong vectors past the first chunk.
-        let nl = run_flow(&g, MergeStrategy::New, &SynthConfig::default()).unwrap().netlist;
+        let nl = new_merge_netlist(&g);
         let mut gates: Vec<_> =
             nl.outputs()[0].1.iter().filter_map(|&net| nl.driver_gate(net)).collect();
         let mut next = 0;

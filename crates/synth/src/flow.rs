@@ -6,10 +6,7 @@ use std::fmt;
 use dp_analysis::info_content;
 use dp_bitvec::Signedness;
 use dp_dfg::{Dfg, NodeKind, ValidateErrors};
-use dp_merge::{
-    cluster_leakage, cluster_max_with, cluster_none, linearize_cluster, ClusterError, Clustering,
-    LinearizeError, MergeReport,
-};
+use dp_merge::{linearize_cluster, ClusterError, Clustering, LinearizeError, MergeReport};
 use dp_metrics::{FlowMetrics, Recorder, Watchdog};
 use dp_netlist::{Library, NetId, Netlist};
 use dp_trace::TraceLog;
@@ -92,7 +89,14 @@ pub fn synthesize(
     clustering: &Clustering,
     config: &SynthConfig,
 ) -> Result<Netlist, SynthError> {
-    Ok(synthesize_with(g, clustering, config, &mut Recorder::disabled())?.0)
+    let (nl, _) = synthesize_watched(
+        g,
+        clustering,
+        config,
+        &mut Recorder::disabled(),
+        &Watchdog::disabled(),
+    )?;
+    Ok(nl)
 }
 
 /// Aggregate carry-save statistics over all clusters of one synthesis
@@ -106,28 +110,14 @@ pub struct CsaStats {
     pub cpa_count: usize,
 }
 
-/// [`synthesize`] with timing spans and aggregated [`CsaStats`]: the
-/// returned stats carry the deepest carry-save reduction across clusters
-/// and the number of final carry-propagate adders instantiated.
-///
-/// # Errors
-///
-/// Returns [`SynthError`] if the graph or clustering is malformed.
-pub fn synthesize_with(
-    g: &Dfg,
-    clustering: &Clustering,
-    config: &SynthConfig,
-    rec: &mut Recorder,
-) -> Result<(Netlist, CsaStats), SynthError> {
-    synthesize_watched(g, clustering, config, rec, &Watchdog::disabled())
-}
-
-/// [`synthesize_with`] under cooperative supervision: `wd` is checked
-/// (amortized) per emitted node, so a deadline or memory-ceiling breach
-/// aborts mid-emission with [`SynthError::Budget`] instead of finishing a
-/// multi-second cluster sweep first. The guarded flow driver and the
-/// serve layer's cached-artifact paths thread their per-request watchdog
-/// through here.
+/// [`synthesize`] with timing spans, aggregated [`CsaStats`] (the deepest
+/// carry-save reduction across clusters and the number of final
+/// carry-propagate adders instantiated), and cooperative supervision:
+/// `wd` is checked (amortized) per emitted node, so a deadline or
+/// memory-ceiling breach aborts mid-emission with [`SynthError::Budget`]
+/// instead of finishing a multi-second cluster sweep first. The guarded
+/// flow driver and the serve layer's cached-artifact paths thread their
+/// per-request watchdog through here.
 ///
 /// # Errors
 ///
@@ -245,7 +235,7 @@ impl fmt::Display for MergeStrategy {
     }
 }
 
-/// The outcome of [`run_flow`].
+/// The outcome of one synthesis flow ([`crate::run_flow_guarded`]).
 #[derive(Debug, Clone)]
 pub struct FlowResult {
     /// The synthesized netlist.
@@ -296,18 +286,28 @@ impl FlowResult {
     }
 }
 
-/// Runs one end-to-end synthesis flow on a copy of `g`: clustering with
-/// the chosen strategy, then CSA-tree synthesis.
-///
-/// # Errors
-///
-/// Returns [`SynthError`] if the graph is malformed.
-pub fn run_flow(
-    g: &Dfg,
-    strategy: MergeStrategy,
-    config: &SynthConfig,
-) -> Result<FlowResult, SynthError> {
-    run_flow_with(g, strategy, config, &mut Recorder::disabled(), &mut TraceLog::disabled())
+impl FlowResult {
+    /// The static abstract-interpretation layer over the synthesized
+    /// graph: what the fine lattices prove beyond RP/IC, as the
+    /// `absint_*` QoR counters and `ABSINT-*` provenance events in `tr`,
+    /// under one `absint` span. Only [`MergeStrategy::New`] runs the width
+    /// pipeline, so the other strategies are left untouched. The guarded
+    /// flow never calls this; reporting surfaces (`dpmc bench`, `dpmc
+    /// profile`, `dpmc explain`) call it right after the flow.
+    pub fn absint(&mut self, rec: &mut Recorder, tr: &mut TraceLog) {
+        if self.strategy != MergeStrategy::New {
+            return;
+        }
+        let ai = rec.span("absint");
+        let fwd = dp_absint::ForwardAnalysis::compute(&self.graph);
+        let bwd = dp_absint::DemandAnalysis::compute(&self.graph);
+        self.metrics.absint_known_bits = fwd.known_bits();
+        self.metrics.absint_dead_bits = bwd.dead_bits();
+        self.metrics.absint_no_overflow_ops =
+            self.graph.node_ids().filter(|&n| fwd.no_overflow(n)).count();
+        dp_absint::emit_trace(&self.graph, &fwd, &bwd, tr);
+        rec.finish(ai);
+    }
 }
 
 /// Total operator-node plus edge width of a graph, the two QoR width
@@ -318,87 +318,27 @@ pub(crate) fn widths(g: &Dfg) -> (usize, usize) {
     (nodes, edges)
 }
 
-/// [`run_flow`] with timing spans (clustering and synthesis stages nested
-/// under one `flow` root), the [`FlowResult::metrics`] QoR counters
-/// populated, and decision provenance recorded into `tr` (only the
-/// [`MergeStrategy::New`] flow makes traced decisions — the baselines run
-/// no width pipeline and classify breaks without the instrumented
-/// analysis).
-///
-/// # Errors
-///
-/// Returns [`SynthError`] if the graph is malformed.
-pub fn run_flow_with(
-    g: &Dfg,
-    strategy: MergeStrategy,
-    config: &SynthConfig,
-    rec: &mut Recorder,
-    tr: &mut TraceLog,
-) -> Result<FlowResult, SynthError> {
-    let whole = rec.span(format!("flow {strategy}"));
-    let (node_width_before, edge_width_before) = widths(g);
-    let mut graph = g.clone();
-    let cl = rec.span("clustering");
-    let (clustering, merge) = match strategy {
-        MergeStrategy::None => (cluster_none(&graph), None),
-        MergeStrategy::Old => (cluster_leakage(&graph), None),
-        MergeStrategy::New => {
-            let (c, r) = cluster_max_with(&mut graph, rec, tr);
-            (c, Some(r))
-        }
-    };
-    rec.finish(cl);
-    let (netlist, csa) = synthesize_with(&graph, &clustering, config, rec)?;
-    rec.finish(whole);
-
-    let (node_width_after, edge_width_after) = widths(&graph);
-    let mut metrics = FlowMetrics {
-        strategy: strategy.to_string(),
-        node_width_before,
-        node_width_after,
-        edge_width_before,
-        edge_width_after,
-        clusters: clustering.len(),
-        csa_depth: csa.csa_depth,
-        cpa_count: csa.cpa_count,
-        gates: netlist.num_gates(),
-        ..FlowMetrics::default()
-    };
-    if let Some(r) = &merge {
-        metrics.transform_rounds = r.transform.rounds;
-        metrics.transform_converged = r.transform.converged;
-        metrics.worklist_pushes = r.transform.worklist_pushes();
-        metrics.ports_visited = r.transform.ports_visited();
-        metrics.ports_skipped = r.transform.ports_skipped();
-        metrics.break_nodes = r.break_nodes;
-    } else {
-        // No width pipeline ran, so there was trivially nothing left to do.
-        metrics.transform_converged = true;
-    }
-    if strategy == MergeStrategy::New {
-        // Static layer over the final graph: what the fine lattices prove
-        // beyond RP/IC, as QoR counters and ABSINT-* provenance events.
-        let ai = rec.span("absint");
-        let fwd = dp_absint::ForwardAnalysis::compute(&graph);
-        let bwd = dp_absint::DemandAnalysis::compute(&graph);
-        metrics.absint_known_bits = fwd.known_bits();
-        metrics.absint_dead_bits = bwd.dead_bits();
-        metrics.absint_no_overflow_ops = graph.node_ids().filter(|&n| fwd.no_overflow(n)).count();
-        dp_absint::emit_trace(&graph, &fwd, &bwd, tr);
-        rec.finish(ai);
-    }
-    Ok(FlowResult { netlist, clustering, graph, strategy, merge, metrics })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AdderKind, ReductionKind};
+    use crate::{run_flow_guarded, AdderKind, FlowBudget, ReductionKind};
     use dp_bitvec::BitVec;
     use dp_bitvec::Signedness::*;
     use dp_dfg::gen::{random_dfg, random_inputs, GenConfig};
     use dp_dfg::OpKind;
     use rand::{rngs::StdRng, SeedableRng};
+
+    /// The guarded flow at its default budget, which must not degrade: a
+    /// repaired result would hide a broken stage from these checks.
+    fn healthy_flow(
+        g: &Dfg,
+        strategy: MergeStrategy,
+        config: &SynthConfig,
+    ) -> Result<FlowResult, SynthError> {
+        let guarded = run_flow_guarded(g, strategy, config, &FlowBudget::default())?;
+        assert!(guarded.degradation.is_none(), "{strategy} degraded: {:?}", guarded.degradation);
+        Ok(guarded.flow)
+    }
 
     fn assert_equivalent(g: &Dfg, nl: &Netlist, rng: &mut StdRng, trials: usize) {
         for _ in 0..trials {
@@ -422,7 +362,7 @@ mod tests {
         for case in 0..15 {
             let g = random_dfg(&mut rng, &GenConfig { num_ops: 8, ..GenConfig::default() });
             for strategy in [MergeStrategy::None, MergeStrategy::Old, MergeStrategy::New] {
-                let flow = run_flow(&g, strategy, &SynthConfig::default())
+                let flow = healthy_flow(&g, strategy, &SynthConfig::default())
                     .unwrap_or_else(|e| panic!("case {case} {strategy}: {e}"));
                 flow.netlist.check().unwrap();
                 // The transformed graph is itself equivalent to g, so
@@ -439,7 +379,7 @@ mod tests {
         for adder in [AdderKind::Ripple, AdderKind::CarrySelect, AdderKind::KoggeStone] {
             for reduction in [ReductionKind::Wallace, ReductionKind::Dadda] {
                 let config = SynthConfig { adder, reduction, ..SynthConfig::default() };
-                let flow = run_flow(&g, MergeStrategy::New, &config).unwrap();
+                let flow = healthy_flow(&g, MergeStrategy::New, &config).unwrap();
                 assert_equivalent(&g, &flow.netlist, &mut rng, 10);
             }
         }
@@ -461,8 +401,8 @@ mod tests {
         g.output("r", 18, s2, Unsigned);
 
         let config = SynthConfig::default();
-        let none = run_flow(&g, MergeStrategy::None, &config).unwrap();
-        let new = run_flow(&g, MergeStrategy::New, &config).unwrap();
+        let none = healthy_flow(&g, MergeStrategy::None, &config).unwrap();
+        let new = healthy_flow(&g, MergeStrategy::New, &config).unwrap();
         assert_eq!(new.clustering.len(), 1);
         assert_eq!(none.clustering.len(), 5);
         let d_none = none.netlist.longest_path(&lib).delay_ns;
@@ -479,7 +419,7 @@ mod tests {
         let a = g.input("alpha", 5);
         let n = g.op(OpKind::Neg, 6, &[(a, Signed)]);
         g.output("omega", 6, n, Signed);
-        let flow = run_flow(&g, MergeStrategy::New, &SynthConfig::default()).unwrap();
+        let flow = healthy_flow(&g, MergeStrategy::New, &SynthConfig::default()).unwrap();
         assert_eq!(flow.netlist.inputs().len(), 1);
         assert_eq!(flow.netlist.inputs()[0].0, "alpha");
         assert_eq!(flow.netlist.inputs()[0].1.len(), 5);
@@ -496,7 +436,7 @@ mod tests {
         let c = g.constant(BitVec::from_u64(4, 5));
         let m = g.op(OpKind::Mul, 8, &[(a, Unsigned), (c, Unsigned)]);
         g.output("o", 8, m, Unsigned);
-        let flow = run_flow(&g, MergeStrategy::New, &SynthConfig::default()).unwrap();
+        let flow = healthy_flow(&g, MergeStrategy::New, &SynthConfig::default()).unwrap();
         let out = flow.netlist.simulate(&[BitVec::from_u64(4, 7)]).unwrap();
         assert_eq!(out[0].to_u64(), Some(35));
     }
@@ -508,7 +448,7 @@ mod tests {
         for case in 0..5 {
             let g = random_dfg(&mut rng, &GenConfig { num_ops: 8, ..GenConfig::default() });
             for strategy in [MergeStrategy::None, MergeStrategy::Old, MergeStrategy::New] {
-                let flow = run_flow(&g, strategy, &SynthConfig::default()).unwrap();
+                let flow = healthy_flow(&g, strategy, &SynthConfig::default()).unwrap();
                 let report = flow.verify(Some(&g));
                 assert!(
                     !report.has_errors(),

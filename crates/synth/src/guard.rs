@@ -1,11 +1,11 @@
 //! Fault-tolerant flow driving: resource budgets, staged audits, and
 //! graceful degradation.
 //!
-//! [`run_flow`](crate::run_flow) trusts every stage of the pipeline; a bug
-//! in the width analysis, the clustering, or the synthesizer either panics
-//! or — worse — silently emits a wrong netlist. [`run_flow_guarded`] runs
-//! the same stages under a [`FlowBudget`] and audits each stage's artifact
-//! before building on it:
+//! A flow that trusted every stage of the pipeline would let a bug in the
+//! width analysis, the clustering, or the synthesizer either panic or —
+//! worse — silently emit a wrong netlist. [`run_flow_guarded`], the one
+//! flow driver, runs the stages under a [`FlowBudget`] and audits each
+//! stage's artifact before building on it:
 //!
 //! 1. **Widths** — the budgeted pipeline
 //!    ([`optimize_widths_budgeted_with`]) must finish within budget, keep
@@ -239,8 +239,9 @@ impl Hook<'_> {
     }
 }
 
-/// [`run_flow`](crate::run_flow) with budgets, staged audits and graceful
-/// degradation.
+/// Runs one end-to-end synthesis flow on a copy of `g` — width pipeline
+/// (new-merge only), clustering with the chosen strategy, CSA-tree
+/// synthesis — with budgets, staged audits and graceful degradation.
 ///
 /// # Errors
 ///
@@ -569,8 +570,10 @@ mod tests {
         g
     }
 
+    /// A healthy guarded flow reports no degradation and builds exactly
+    /// what its stages composed by hand, with no audit in between, build.
     #[test]
-    fn healthy_flow_matches_unguarded_and_reports_no_degradation() {
+    fn healthy_flow_matches_the_composed_stages_and_reports_no_degradation() {
         let g = sum_of_products();
         let budget = FlowBudget::default();
         for strategy in [MergeStrategy::None, MergeStrategy::Old, MergeStrategy::New] {
@@ -579,8 +582,39 @@ mod tests {
             assert!(guarded.degradation.is_none(), "{strategy} degraded unexpectedly");
             assert!(!guarded.flow.metrics.degraded);
             assert!(guarded.flow.metrics.fallbacks.is_empty());
-            let plain = crate::run_flow(&g, strategy, &SynthConfig::default()).unwrap();
-            assert_eq!(guarded.flow.metrics, plain.metrics, "{strategy} metrics drifted");
+
+            let mut graph = g.clone();
+            let (clustering, merge) = match strategy {
+                MergeStrategy::None => (cluster_none(&graph), None),
+                MergeStrategy::Old => (cluster_leakage(&graph), None),
+                MergeStrategy::New => {
+                    let (c, r) = dp_merge::cluster_max(&mut graph);
+                    (c, Some(r))
+                }
+            };
+            let (netlist, csa) = synthesize_watched(
+                &graph,
+                &clustering,
+                &SynthConfig::default(),
+                &mut Recorder::disabled(),
+                &Watchdog::disabled(),
+            )
+            .unwrap();
+            let m = &guarded.flow.metrics;
+            assert_eq!(m.clusters, clustering.len(), "{strategy} clusters drifted");
+            assert_eq!((m.csa_depth, m.cpa_count), (csa.csa_depth, csa.cpa_count), "{strategy}");
+            assert_eq!(m.gates, netlist.num_gates(), "{strategy} gates drifted");
+            assert_eq!(widths(&guarded.flow.graph), widths(&graph), "{strategy} widths drifted");
+            // Round wall times differ between runs; everything else must not.
+            let counts = |r: &MergeReport| {
+                let t = &r.transform;
+                (r.rounds, r.refinements, r.break_nodes, t.rounds, t.node_width_changes)
+            };
+            assert_eq!(
+                guarded.flow.merge.as_ref().map(counts),
+                merge.as_ref().map(counts),
+                "{strategy} merge report drifted"
+            );
         }
     }
 

@@ -19,9 +19,13 @@
 //! merging pays: a merged cluster has *one* carry-propagate adder total,
 //! while unmerged synthesis pays one per operator.
 //!
-//! The top-level entry point is [`synthesize`], which turns a DFG plus a
-//! clustering into a gate-level [`dp_netlist::Netlist`] whose ports match
-//! the DFG's inputs and outputs bit-for-bit.
+//! [`synthesize`] turns a DFG plus a clustering into a gate-level
+//! [`dp_netlist::Netlist`] whose ports match the DFG's inputs and outputs
+//! bit-for-bit. The whole flow — width pipeline, clustering with one of
+//! the three [`MergeStrategy`] columns of the paper's Table 1, synthesis —
+//! runs through one driver, [`run_flow_guarded`] (and its instrumented
+//! twin [`run_flow_guarded_with`]), which audits every stage and degrades
+//! to a provably safe artifact instead of emitting a wrong netlist.
 //!
 //! # Example
 //!
@@ -69,10 +73,7 @@ pub use adders::{carry_select_add, kogge_stone_add, ripple_carry_add};
 pub use cluster::{synthesize_sum, synthesize_sum_with, SumStats};
 pub use columns::Columns;
 pub use equiv::{Equiv, Mismatch};
-pub use flow::{
-    run_flow, run_flow_with, synthesize, synthesize_watched, synthesize_with, CsaStats, FlowResult,
-    MergeStrategy, SynthError,
-};
+pub use flow::{synthesize, synthesize_watched, CsaStats, FlowResult, MergeStrategy, SynthError};
 pub use guard::{
     run_flow_guarded, run_flow_guarded_with, Degradation, DegradationReport, Fallback, FlowBudget,
     GuardedFlow,

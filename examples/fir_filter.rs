@@ -30,7 +30,9 @@ fn main() {
 
     let mut results = Vec::new();
     for strategy in [MergeStrategy::None, MergeStrategy::Old, MergeStrategy::New] {
-        let flow = run_flow(&g, strategy, &config).expect("synthesis");
+        let flow = run_flow_guarded(&g, strategy, &config, &FlowBudget::default())
+            .expect("synthesis")
+            .flow;
         let mut nl = flow.netlist;
         datapath_merge::opt::fold_constants(&mut nl);
         let nl = nl.sweep();

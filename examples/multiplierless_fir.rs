@@ -34,7 +34,9 @@ fn main() {
     let lib = Library::synthetic_025um();
     let config = SynthConfig::default();
     for strategy in [MergeStrategy::None, MergeStrategy::New] {
-        let flow = run_flow(&g, strategy, &config).expect("synthesis");
+        let flow = run_flow_guarded(&g, strategy, &config, &FlowBudget::default())
+            .expect("synthesis")
+            .flow;
         let mut nl = flow.netlist;
         datapath_merge::opt::fold_constants(&mut nl);
         let nl = nl.sweep();
@@ -50,7 +52,9 @@ fn main() {
 
     // The merged filter is a single cluster: every shifted tap is just a
     // weighted addend in one reduction tree.
-    let flow = run_flow(&g, MergeStrategy::New, &config).expect("synthesis");
+    let flow = run_flow_guarded(&g, MergeStrategy::New, &config, &FlowBudget::default())
+        .expect("synthesis")
+        .flow;
     assert_eq!(flow.clustering.len(), 1);
     let ic = info_content(&flow.graph);
     let sum =

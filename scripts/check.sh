@@ -70,10 +70,13 @@ head -1 /tmp/dpmc_events.jsonl | grep -q '"schema":"dpmc-events/1"'
 rm -f /tmp/dpmc_events.jsonl
 
 echo "==> dpmc profile (every builtin: self-profile + non-empty collapsed stacks)"
+# The profile runs the guarded flow, so the guard's width stage and its
+# audits must show up as a phase of their own.
 for d in fig1 fig2 fig3 fig4 D1 D2 D3 D4 D5 S64 S160 S400 S1000; do
   cargo run --release --bin dpmc -- profile "$d" --top 5 --stacks /tmp/dpmc_stacks.txt \
     > /tmp/dpmc_profile.txt 2> /dev/null
   grep -q "analysis cost by op kind" /tmp/dpmc_profile.txt
+  grep -q "guarded widths" /tmp/dpmc_profile.txt
   test -s /tmp/dpmc_stacks.txt
 done
 rm -f /tmp/dpmc_profile.txt /tmp/dpmc_stacks.txt

@@ -856,7 +856,7 @@ fn run_analyze(args: &Args) -> Result<bool, FlowError> {
     Ok(all_clean)
 }
 
-/// `dpmc explain`: re-run the new-merge flow with provenance recording
+/// `dpmc explain`: re-run the guarded new-merge flow with provenance recording
 /// and print the causal chain behind the requested node's final width and
 /// cluster assignment (or every operator's, without `--node`/`--port`).
 fn run_explain(args: &Args) -> Result<(), FlowError> {
@@ -864,7 +864,7 @@ fn run_explain(args: &Args) -> Result<(), FlowError> {
     let text = std::fs::read_to_string(&args.file)
         .map_err(|e| FlowError::Io { path: args.file.clone(), message: e.to_string() })?;
     let (g, names) = datapath_merge::dsl::parse_design_named(&text)?;
-    let ex = run_traced(&g);
+    let ex = run_traced(&g)?;
 
     let label_of = |n: NodeId| -> String {
         names
@@ -897,6 +897,9 @@ fn run_explain(args: &Args) -> Result<(), FlowError> {
         return Ok(());
     }
     println!("{}: width pipeline: {}", args.file, ex.report.transform.summary());
+    if let Some(d) = &ex.degradation {
+        print!("{}: degraded: {}", args.file, d.render());
+    }
     println!("{}: {} provenance event(s) recorded", args.file, ex.trace.len());
     for &n in &targets {
         println!();
@@ -911,7 +914,7 @@ fn run_dot(args: &Args) -> Result<(), FlowError> {
     use datapath_merge::explain::{annotations, run_traced};
     let g = load_design(&args.file)?;
     let dot = if args.annotate {
-        let ex = run_traced(&g);
+        let ex = run_traced(&g)?;
         ex.graph.to_dot_annotated(&annotations(&ex))
     } else {
         g.to_dot()
@@ -1003,10 +1006,10 @@ fn run_bench(args: &Args) -> Result<bool, FlowError> {
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
         .min(designs.len().max(1));
 
-    // Slot-indexed results (see `driver::run_slots`): worker i writes only
+    // Slot-indexed results (see `dp_serve::pool::run_slots`): worker i writes only
     // its own slot, so the assembled report — and the event stream — is
     // independent of scheduling.
-    let results = driver::run_slots(designs.len(), jobs, |i| {
+    let results = datapath_merge::serve::pool::run_slots(designs.len(), jobs, |i| {
         let (name, g) = &designs[i];
         driver::bench_design(name, g, &args.config, &lib, args.telemetry)
     });

@@ -1,7 +1,11 @@
 //! Shared flow-driving machinery behind `dpmc bench` and `dpmc profile`:
-//! the per-design bench building block, the slot-ordered worker pool, the
-//! self-profile runner, and the telemetry-overhead measurement that gates
-//! the observability layer's cost.
+//! the per-design bench building block, the self-profile runner, and the
+//! telemetry-overhead measurement that gates the observability layer's
+//! cost. All three run the guarded flow ([`run_flow_guarded_with`] at
+//! [`FlowBudget::default`]) — the same driver as `dpmc run` and `dpmc
+//! serve` — followed by the absint layer and one shared post-flow stage.
+//! Designs are farmed out on the service's slot-ordered worker pool
+//! ([`dp_serve::pool::run_slots`]).
 //!
 //! Everything here is deterministic by construction: workers write only
 //! their own result slot (so `--jobs N` output is byte-identical for any
@@ -16,7 +20,7 @@ use dp_obs::{
     degrade_event, kind_events, round_events, span_events, trace_events, DesignEvents, Event,
     Profile,
 };
-pub use dp_serve::pool::{WorkerError, PANIC_EXIT_CODE, PANIC_FAMILY};
+pub use dp_serve::pool::WorkerError;
 use dp_synth::SynthError;
 
 use crate::error::FlowError;
@@ -102,6 +106,65 @@ pub fn push_flow_events(out: &mut DesignEvents, src: FlowSources<'_>, level: Lev
     out.events.extend(trace_events(src.tr));
 }
 
+/// Runs the guarded flow at its default budget, then the static absint
+/// layer over its result: the one flow every reporting surface (bench,
+/// profile, the overhead gate) measures. `prefix` leads a failure's
+/// message.
+fn run_reported(
+    prefix: &str,
+    g: &Dfg,
+    strategy: MergeStrategy,
+    config: &SynthConfig,
+    rec: &mut Recorder,
+    tr: &mut TraceLog,
+) -> Result<GuardedFlow, WorkerError> {
+    let mut guarded = run_flow_guarded_with(g, strategy, config, &FlowBudget::default(), rec, tr)
+        .map_err(|e| classify_flow(prefix, e))?;
+    guarded.flow.absint(rec, tr);
+    Ok(guarded)
+}
+
+/// What the post-flow stages make of a flow: the final netlist, its
+/// timing and area, and the semantic audit of the final artifacts.
+struct Finished {
+    netlist: Netlist,
+    delay_ns: f64,
+    area: f64,
+    report: VerifyReport,
+}
+
+/// The stages after the flow, each under its own top-level span:
+/// constant folding and dead-gate sweep (`fold_sweep`), static timing and
+/// area (`sta`), and the dp-verify audit against the input design `g`.
+/// As in the guard's own audits, the strict post-fixpoint checks are
+/// armed only for a new-merge flow that did not degrade.
+fn finish_flow(g: &Dfg, guarded: &GuardedFlow, lib: &Library, rec: &mut Recorder) -> Finished {
+    let flow = &guarded.flow;
+    let mut netlist = flow.netlist.clone();
+    let outer = rec.span("fold_sweep");
+    let fold = rec.span("fold_constants");
+    crate::opt::fold_constants(&mut netlist);
+    rec.finish(fold);
+    let sweep = rec.span("sweep");
+    let netlist = netlist.sweep();
+    rec.finish(sweep);
+    rec.finish(outer);
+    let sta = rec.span("sta");
+    let delay_ns = netlist.longest_path(lib).delay_ns;
+    let area = netlist.area(lib);
+    rec.finish(sta);
+    let mut cx = Context::new(&flow.graph)
+        .baseline(g)
+        .clustering(&flow.clustering)
+        .netlist(&netlist)
+        .optimized(flow.strategy == MergeStrategy::New && guarded.degradation.is_none());
+    if let Some(m) = &flow.merge {
+        cx = cx.transform(&m.transform);
+    }
+    let report = Verifier::default().run_with(&cx, rec);
+    Finished { netlist, delay_ns, area, report }
+}
+
 /// Benchmarks one design through both flows; the building block the
 /// parallel driver farms out. Pure function of the design and config
 /// (modulo the wall-times inside `spans` and the events' `us`/`ns`
@@ -109,7 +172,9 @@ pub fn push_flow_events(out: &mut DesignEvents, src: FlowSources<'_>, level: Lev
 ///
 /// Recording always runs at full telemetry — the bench report's spans
 /// keep their wall times for `--compare` — while `level` gates what
-/// reaches the event stream.
+/// reaches the event stream. A flow the guard degraded reports the
+/// fallback artifacts it actually built, `degraded: true` with its
+/// `FALLBACK-*` tags in the metrics, and one `degrade` event per retreat.
 pub fn bench_design(
     name: &str,
     g: &Dfg,
@@ -122,39 +187,19 @@ pub fn bench_design(
     for strategy in [MergeStrategy::Old, MergeStrategy::New] {
         let mut rec = Recorder::new();
         let mut tr = TraceLog::new();
-        let flow = run_flow_with(g, strategy, config, &mut rec, &mut tr)
-            .map_err(|e| classify_flow(&format!("{name} [{strategy}]"), e))?;
-        let mut netlist = flow.netlist.clone();
-        let outer = rec.span("fold_sweep");
-        let fold = rec.span("fold_constants");
-        crate::opt::fold_constants(&mut netlist);
-        rec.finish(fold);
-        let sweep = rec.span("sweep");
-        let netlist = netlist.sweep();
-        rec.finish(sweep);
-        rec.finish(outer);
-        let sta = rec.span("sta");
-        let delay_ns = netlist.longest_path(lib).delay_ns;
-        let area = netlist.area(lib);
-        rec.finish(sta);
-        let mut cx = Context::new(&flow.graph)
-            .baseline(g)
-            .clustering(&flow.clustering)
-            .netlist(&netlist)
-            .optimized(strategy == MergeStrategy::New);
-        if let Some(m) = &flow.merge {
-            cx = cx.transform(&m.transform);
-        }
-        let report = Verifier::default().run_with(&cx, &mut rec);
+        let guarded =
+            run_reported(&format!("{name} [{strategy}]"), g, strategy, config, &mut rec, &mut tr)?;
+        let done = finish_flow(g, &guarded, lib, &mut rec);
+        let flow = &guarded.flow;
 
         // QoR on the final (folded + swept) netlist, not the raw one.
         let mut metrics = flow.metrics.clone();
-        metrics.gates = netlist.num_gates();
-        metrics.delay_ns = delay_ns;
-        metrics.area = area;
-        metrics.verify_errors = report.count(Severity::Error);
-        metrics.verify_warnings = report.count(Severity::Warn);
-        metrics.verify_infos = report.count(Severity::Info);
+        metrics.gates = done.netlist.num_gates();
+        metrics.delay_ns = done.delay_ns;
+        metrics.area = done.area;
+        metrics.verify_errors = done.report.count(Severity::Error);
+        metrics.verify_warnings = done.report.count(Severity::Warn);
+        metrics.verify_infos = done.report.count(Severity::Info);
         let metrics_json = metrics.to_json();
 
         let mut row = Json::obj()
@@ -170,7 +215,7 @@ pub fn bench_design(
             rec: &rec,
             transform: flow.merge.as_ref().map(|m| &m.transform),
             metrics: &metrics_json,
-            degradation: None,
+            degradation: guarded.degradation.as_ref(),
             tr: &tr,
         };
         push_flow_events(&mut events, src, level);
@@ -178,29 +223,11 @@ pub fn bench_design(
     Ok(BenchOutcome { row: Json::obj().field("design", name).field("flows", flows), events })
 }
 
-/// Runs `count` jobs on a pool of `jobs` worker threads pulling indices
-/// from a shared counter. Worker `i` writes only slot `i`, so the
-/// returned vector — and anything assembled from it in order — is
-/// independent of scheduling. A panicking job becomes an `Err` slot with
-/// the `panic` taxonomy and its payload message preserved (and must not
-/// take down its worker, which would silently drop every job that worker
-/// would have pulled next).
-///
-/// This is a thin facade over [`dp_serve::pool::run_slots`]: bench and
-/// the synthesis service share one pool, so a job failure carries the
-/// same [`WorkerError`] family/exit-code taxonomy in a bench error row
-/// as in a serve response.
-pub fn run_slots<T, F>(count: usize, jobs: usize, run: F) -> Vec<Result<T, WorkerError>>
-where
-    T: Send,
-    F: Fn(usize) -> Result<T, WorkerError> + Sync,
-{
-    dp_serve::pool::run_slots(count, jobs, run)
-}
-
 /// Runs the new-merge flow (plus constant folding, STA and verification)
 /// under a full-telemetry recorder and folds the result into a per-phase
-/// [`Profile`] — the engine behind `dpmc profile`.
+/// [`Profile`] — the engine behind `dpmc profile`. The guard's stages and
+/// audits show up as their own phases (`guarded widths`, `guarded
+/// clustering`, and the netlist audit as self time of `guarded flow`).
 pub fn profile_design(
     name: &str,
     g: &Dfg,
@@ -209,31 +236,9 @@ pub fn profile_design(
 ) -> Result<Profile, WorkerError> {
     let mut rec = Recorder::new();
     let mut tr = TraceLog::new();
-    let flow = run_flow_with(g, MergeStrategy::New, config, &mut rec, &mut tr)
-        .map_err(|e| classify_flow(name, e))?;
-    let mut netlist = flow.netlist.clone();
-    let outer = rec.span("fold_sweep");
-    let fold = rec.span("fold_constants");
-    crate::opt::fold_constants(&mut netlist);
-    rec.finish(fold);
-    let sweep = rec.span("sweep");
-    let netlist = netlist.sweep();
-    rec.finish(sweep);
-    rec.finish(outer);
-    let sta = rec.span("sta");
-    let _ = netlist.longest_path(lib).delay_ns;
-    let _ = netlist.area(lib);
-    rec.finish(sta);
-    let mut cx = Context::new(&flow.graph)
-        .baseline(g)
-        .clustering(&flow.clustering)
-        .netlist(&netlist)
-        .optimized(true);
-    if let Some(m) = &flow.merge {
-        cx = cx.transform(&m.transform);
-    }
-    let _ = Verifier::default().run_with(&cx, &mut rec);
-    let kinds = flow.merge.as_ref().map(|m| m.transform.kind_counts()).unwrap_or_default();
+    let guarded = run_reported(name, g, MergeStrategy::New, config, &mut rec, &mut tr)?;
+    finish_flow(g, &guarded, lib, &mut rec);
+    let kinds = guarded.flow.merge.as_ref().map(|m| m.transform.kind_counts()).unwrap_or_default();
     Ok(Profile::build(&rec, &kinds))
 }
 
@@ -286,9 +291,9 @@ pub fn telemetry_overhead(
     let run_at = |level: Level| -> Result<(String, Vec<Event>), WorkerError> {
         let mut rec = Recorder::with_level(level);
         let mut tr = TraceLog::new();
-        let flow = run_flow_with(g, MergeStrategy::New, config, &mut rec, &mut tr)
-            .map_err(|e| classify_flow(&format!("{name} [{}]", level.name()), e))?;
-        Ok((flow.metrics.to_json().render(), trace_events(&tr)))
+        let prefix = format!("{name} [{}]", level.name());
+        let guarded = run_reported(&prefix, g, MergeStrategy::New, config, &mut rec, &mut tr)?;
+        Ok((guarded.flow.metrics.to_json().render(), trace_events(&tr)))
     };
     let (qor_off, trace_off) = run_at(Level::Off)?;
     let mut invariant = true;
@@ -302,9 +307,9 @@ pub fn telemetry_overhead(
     let time = |level: Level| -> Result<Duration, WorkerError> {
         let mut rec = Recorder::with_level(level);
         let mut tr = TraceLog::new();
+        let prefix = format!("{name} [{}]", level.name());
         let started = Instant::now();
-        run_flow_with(g, MergeStrategy::New, config, &mut rec, &mut tr)
-            .map_err(|e| classify_flow(&format!("{name} [{}]", level.name()), e))?;
+        run_reported(&prefix, g, MergeStrategy::New, config, &mut rec, &mut tr)?;
         Ok(started.elapsed())
     };
     let (mut off, mut full) = (Duration::MAX, Duration::MAX);
@@ -328,6 +333,7 @@ pub fn telemetry_overhead(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dp_dfg::gen::{random_dfg, GenConfig};
     use dp_testcases::figures;
 
     fn fig3() -> Dfg {
@@ -374,39 +380,6 @@ mod tests {
     }
 
     #[test]
-    fn run_slots_is_slot_ordered_for_any_job_count() {
-        let run = |i: usize| -> Result<usize, WorkerError> {
-            if i == 3 {
-                Err(WorkerError::new("analysis", 6, "boom"))
-            } else {
-                Ok(i * i)
-            }
-        };
-        let one = run_slots(8, 1, run);
-        let four = run_slots(8, 4, run);
-        assert_eq!(one, four);
-        assert_eq!(one[2], Ok(4));
-        assert_eq!(one[3], Err(WorkerError::new("analysis", 6, "boom")));
-    }
-
-    #[test]
-    fn run_slots_contains_panicking_jobs_with_taxonomy() {
-        let out = run_slots(4, 2, |i| -> Result<usize, WorkerError> {
-            if i == 1 {
-                panic!("job 1 exploded");
-            }
-            Ok(i)
-        });
-        assert_eq!(out[0], Ok(0));
-        let err = out[1].clone().expect_err("job 1 panicked");
-        assert_eq!(err.family, PANIC_FAMILY);
-        assert_eq!(err.exit_code, PANIC_EXIT_CODE);
-        assert_eq!(err.message, "panicked during the run: job 1 exploded");
-        assert_eq!(out[2], Ok(2));
-        assert_eq!(out[3], Ok(3));
-    }
-
-    #[test]
     fn flow_failures_classify_with_the_process_taxonomy() {
         // An adder with no drivers fails structural validation inside the
         // flow; the bench row must carry the same family/exit-code a
@@ -428,13 +401,52 @@ mod tests {
         let lib = Library::synthetic_025um();
         let p = profile_design("fig3", &g, &SynthConfig::default(), &lib).expect("profiles");
         let paths: Vec<&str> = p.rows.iter().map(|r| r.path.as_str()).collect();
-        assert!(paths.iter().any(|p| p.starts_with("flow new-merge")), "{paths:?}");
+        assert!(paths.iter().any(|p| p.starts_with("guarded flow new-merge")), "{paths:?}");
+        // The guard's stages (and the audits inside them) are layers too.
+        assert!(paths.contains(&"guarded flow new-merge;guarded widths"), "{paths:?}");
+        assert!(paths.contains(&"guarded flow new-merge;guarded clustering"), "{paths:?}");
         assert!(paths.contains(&"fold_sweep"));
         assert!(paths.contains(&"fold_sweep;fold_constants"), "{paths:?}");
         assert!(paths.contains(&"fold_sweep;sweep"), "{paths:?}");
         assert!(paths.contains(&"sta"));
         assert!(!p.kinds.is_empty(), "fig3's adds/muls were visited");
         assert!(!p.collapsed_stacks().is_empty());
+    }
+
+    /// A new-merge flow whose merged netlist the guard rejects: bench
+    /// reports the singleton-cluster fallback it really built, and that
+    /// netlist is right.
+    #[test]
+    fn bench_reports_the_guards_degradation() {
+        use rand::{rngs::StdRng, SeedableRng};
+        let cfg = GenConfig {
+            num_ops: 40,
+            num_inputs: 6,
+            max_width: 48,
+            mul_weight: 0.15,
+            ..GenConfig::default()
+        };
+        let g = random_dfg(&mut StdRng::seed_from_u64(1072), &cfg);
+        let lib = Library::synthetic_025um();
+        let config = SynthConfig::default();
+        let out = bench_design("seed1072", &g, &config, &lib, Level::Counters).expect("benches");
+        let flows = out.row.get("flows").and_then(Json::as_array).expect("flows");
+        // Healthy rows carry no degradation fields at all.
+        let old = flows[0].get("metrics").expect("metrics");
+        assert_eq!(old.get("degraded"), None, "{}", old.render());
+        let new = flows[1].get("metrics").expect("metrics");
+        assert_eq!(new.get("degraded"), Some(&Json::Bool(true)), "{}", new.render());
+        let fallbacks = new.get("fallbacks").and_then(Json::as_array).expect("fallbacks");
+        assert_eq!(fallbacks, &[Json::from("FALLBACK-SINGLETON")]);
+        assert!(out.events.events.iter().any(|e| e.tag() == "degrade"));
+
+        let mut rec = Recorder::new();
+        let mut tr = TraceLog::new();
+        let guarded =
+            run_reported("seed1072", &g, MergeStrategy::New, &config, &mut rec, &mut tr).unwrap();
+        let done = finish_flow(&g, &guarded, &lib, &mut rec);
+        let oracle = Equiv::new(&g, 0x5EED, 256).expect("the design evaluates");
+        assert_eq!(oracle.netlist_mismatch(&done.netlist), None);
     }
 
     #[test]

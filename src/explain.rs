@@ -15,13 +15,18 @@ use std::collections::HashMap;
 
 use dp_analysis::{info_content, required_precision, InfoAnalysis, PrecisionAnalysis};
 use dp_dfg::{Dfg, DotAnnotations, NodeId, NodeKind};
-use dp_merge::{cluster_max_with, Clustering, MergeReport};
+use dp_merge::{Clustering, MergeReport};
 use dp_metrics::{Json, Recorder};
+use dp_synth::{
+    run_flow_guarded_with, DegradationReport, FlowBudget, FlowResult, GuardedFlow, MergeStrategy,
+    SynthConfig, SynthError,
+};
 use dp_trace::{Rule, Subject, TraceEvent, TraceLog};
 
 /// Everything `dpmc explain`/`dpmc dot --annotate` need about one design:
-/// the optimized graph, the clustering, the full decision log, and fresh
-/// RP/IC analyses of both the input and the optimized graph.
+/// the optimized graph, the clustering, any guard retreats, the full
+/// decision log, and fresh RP/IC analyses of both the input and the
+/// optimized graph.
 #[derive(Debug)]
 pub struct Explained {
     /// The optimized graph (after width pruning and extension insertion).
@@ -30,6 +35,9 @@ pub struct Explained {
     pub clustering: Clustering,
     /// Clustering statistics (width pipeline rounds, refinements, breaks).
     pub report: MergeReport,
+    /// The guard's retreats, when the flow degraded; the graph and
+    /// clustering are then the fallback artifacts it built.
+    pub degradation: Option<DegradationReport>,
     /// Every decision the pipeline made, in causal topological order.
     pub trace: TraceLog,
     /// Required precision of the *input* design — the facts RP clamping
@@ -41,22 +49,34 @@ pub struct Explained {
     pub ic: InfoAnalysis,
 }
 
-/// Runs the new-merge clustering flow over a copy of `g` with provenance
-/// recording enabled and gathers the analyses [`explain_node`] reads.
-pub fn run_traced(g: &Dfg) -> Explained {
+/// Runs the new-merge flow (the guarded driver at its default budget)
+/// over a copy of `g` with provenance recording enabled, then the absint
+/// layer, and gathers the analyses [`explain_node`] reads.
+///
+/// # Errors
+///
+/// Returns [`SynthError`] when the guarded flow cannot synthesize `g`.
+pub fn run_traced(g: &Dfg) -> Result<Explained, SynthError> {
     let rp_before = required_precision(g);
-    let mut opt = g.clone();
-    let mut rec = Recorder::new();
+    let mut rec = Recorder::disabled();
     let mut trace = TraceLog::new();
-    let (clustering, report) = cluster_max_with(&mut opt, &mut rec, &mut trace);
+    let budget = FlowBudget::default();
+    let GuardedFlow { mut flow, degradation } = run_flow_guarded_with(
+        g,
+        MergeStrategy::New,
+        &SynthConfig::default(),
+        &budget,
+        &mut rec,
+        &mut trace,
+    )?;
     // Static abstract-interpretation facts over the optimized graph, so an
     // explanation also names what the fine lattices proved about the node.
-    let fwd = dp_absint::ForwardAnalysis::compute(&opt);
-    let bwd = dp_absint::DemandAnalysis::compute(&opt);
-    dp_absint::emit_trace(&opt, &fwd, &bwd, &mut trace);
-    let rp = required_precision(&opt);
-    let ic = info_content(&opt);
-    Explained { graph: opt, clustering, report, trace, rp_before, rp, ic }
+    flow.absint(&mut rec, &mut trace);
+    let rp = required_precision(&flow.graph);
+    let ic = info_content(&flow.graph);
+    let FlowResult { graph, clustering, merge, .. } = flow;
+    let report = merge.unwrap_or_default();
+    Ok(Explained { graph, clustering, report, degradation, trace, rp_before, rp, ic })
 }
 
 /// Resolves a `--node`/`--port` spec to a node id: a DSL name from
@@ -346,7 +366,8 @@ mod tests {
     #[test]
     fn fig3_explanation_names_the_ic_chain() {
         let fig = figures::fig3();
-        let ex = run_traced(&fig.g);
+        let ex = run_traced(&fig.g).expect("the figure synthesizes");
+        assert!(ex.degradation.is_none(), "{:?}", ex.degradation);
         let text = explain_node(&fig.g, &ex, fig.n3, "n3");
         assert!(text.contains("IC-PRUNE"), "{text}");
         assert!(text.contains("8 -> 5"), "{text}");
@@ -357,7 +378,8 @@ mod tests {
     #[test]
     fn fig2_explanation_names_the_rp_clamp() {
         let fig = figures::fig2();
-        let ex = run_traced(&fig.g);
+        let ex = run_traced(&fig.g).expect("the figure synthesizes");
+        assert!(ex.degradation.is_none(), "{:?}", ex.degradation);
         let text = explain_node(&fig.g, &ex, fig.n1, "n1");
         assert!(text.contains("RP-CLAMP applies"), "{text}");
         assert!(text.contains("RP-CLAMP n"), "{text}");
@@ -380,7 +402,8 @@ mod tests {
     #[test]
     fn annotations_mark_rules_and_clusters() {
         let fig = figures::fig3();
-        let ex = run_traced(&fig.g);
+        let ex = run_traced(&fig.g).expect("the figure synthesizes");
+        assert!(ex.degradation.is_none(), "{:?}", ex.degradation);
         let ann = annotations(&ex);
         let n3 = ann.node_notes[fig.n3.index()].as_deref().unwrap();
         assert!(n3.contains("r="), "{n3}");

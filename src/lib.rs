@@ -54,11 +54,19 @@
 //! let s = g.op(OpKind::Add, 17, &[(m1, Signedness::Signed), (m2, Signedness::Signed)]);
 //! g.output("r", 17, s, Signedness::Signed);
 //!
-//! let (clustering, _report) = cluster_max(&mut g);
-//! assert_eq!(clustering.len(), 1);
+//! // The one flow driver: widths, clustering and synthesis, each stage
+//! // audited before the next builds on it.
+//! let guarded = run_flow_guarded(
+//!     &g,
+//!     MergeStrategy::New,
+//!     &SynthConfig::default(),
+//!     &FlowBudget::default(),
+//! )?;
+//! assert!(guarded.degradation.is_none());
+//! assert_eq!(guarded.flow.clustering.len(), 1);
 //!
-//! let netlist = synthesize(&g, &clustering, &SynthConfig::default())?;
 //! let lib = Library::synthetic_025um();
+//! let netlist = &guarded.flow.netlist;
 //! println!("delay {:.2} ns, area {:.1}", netlist.longest_path(&lib).delay_ns, netlist.area(&lib));
 //! # Ok::<(), dp_synth::SynthError>(())
 //! ```
@@ -98,16 +106,14 @@ pub mod prelude {
     pub use dp_bitvec::{BitVec, Signedness};
     pub use dp_dfg::{Dfg, EdgeId, NodeId, OpKind};
     pub use dp_merge::{
-        cluster_leakage, cluster_max, cluster_max_with, cluster_none, linearize_cluster, Cluster,
-        Clustering,
+        cluster_leakage, cluster_max, cluster_none, linearize_cluster, Cluster, Clustering,
     };
     pub use dp_metrics::{FlowMetrics, Json, Level, Recorder};
     pub use dp_netlist::{CellKind, Drive, Library, Netlist};
     pub use dp_opt::{optimize, OptConfig};
     pub use dp_synth::{
-        run_flow, run_flow_guarded, run_flow_guarded_with, run_flow_with, synthesize, AdderKind,
-        DegradationReport, Equiv, FlowBudget, GuardedFlow, MergeStrategy, Mismatch, ReductionKind,
-        SynthConfig,
+        run_flow_guarded, run_flow_guarded_with, synthesize, AdderKind, DegradationReport, Equiv,
+        FlowBudget, FlowResult, GuardedFlow, MergeStrategy, Mismatch, ReductionKind, SynthConfig,
     };
     pub use dp_trace::{EventId, Rule, Subject, TraceEvent, TraceLog};
     pub use dp_verify::{Code, Context, Diagnostic, Severity, Verifier, VerifyReport};

@@ -4,9 +4,12 @@
 //! both through `dp_absint::analyze_with` directly and through the
 //! dp-verify pass registry — must flag it as an error, while every
 //! untampered builtin design proves clean. Also pins the flow-level
-//! wiring: `run_flow_with` fills the `absint_*` QoR counters and emits
-//! `ABSINT-*` provenance events.
+//! wiring: `FlowResult::absint` after the guarded flow fills the
+//! `absint_*` QoR counters and emits `ABSINT-*` provenance events.
 
+mod common;
+
+use common::healthy;
 use datapath_merge::absint::{analyze, analyze_with, FindingKind};
 use datapath_merge::analysis::IntrinsicOverrides;
 use datapath_merge::fault::{FaultClass, FaultInjector};
@@ -75,16 +78,30 @@ fn verifier_reports_a002_for_a_corrupted_ic_bound() {
     );
 }
 
-/// `run_flow_with` under the new-merge strategy fills the `absint_*`
+/// The absint layer after a new-merge guarded flow fills the `absint_*`
 /// QoR counters and emits `ABSINT-*` provenance events into the trace.
 #[test]
 fn flow_fills_absint_counters_and_trace_events() {
     let fig = datapath_merge::testcases::figures::fig3();
     let mut rec = Recorder::new();
     let mut tr = TraceLog::new();
-    let result =
-        run_flow_with(&fig.g, MergeStrategy::New, &SynthConfig::default(), &mut rec, &mut tr)
-            .expect("flow runs");
+    let budget = FlowBudget::default();
+    let mut result = healthy(
+        run_flow_guarded_with(
+            &fig.g,
+            MergeStrategy::New,
+            &SynthConfig::default(),
+            &budget,
+            &mut rec,
+            &mut tr,
+        )
+        .expect("flow runs"),
+    );
+    assert!(
+        !tr.events().iter().any(|e| e.rule.tag().starts_with("ABSINT-")),
+        "the guarded flow itself runs no absint"
+    );
+    result.absint(&mut rec, &mut tr);
     let m = &result.metrics;
     assert!(
         m.absint_dead_bits > 0 || m.absint_known_bits > 0 || m.absint_no_overflow_ops > 0,

@@ -1,6 +1,9 @@
 //! End-to-end integration: every evaluation design through every flow,
 //! synthesized, optimized, and proven equivalent to the source DFG.
 
+mod common;
+
+use common::healthy;
 use datapath_merge::dfg::gen::random_inputs;
 use datapath_merge::prelude::*;
 use datapath_merge::testcases::all_designs;
@@ -24,8 +27,10 @@ fn every_design_every_flow_is_equivalent() {
     let config = SynthConfig::default();
     for t in all_designs() {
         for strategy in [MergeStrategy::None, MergeStrategy::Old, MergeStrategy::New] {
-            let flow = run_flow(&t.dfg, strategy, &config)
-                .unwrap_or_else(|e| panic!("{} {strategy}: {e}", t.name));
+            let flow = healthy(
+                run_flow_guarded(&t.dfg, strategy, &config, &FlowBudget::default())
+                    .unwrap_or_else(|e| panic!("{} {strategy}: {e}", t.name)),
+            );
             flow.netlist.check().expect("structurally sound");
             assert_equivalent(&t.dfg, &flow.netlist, 11, 25);
         }
@@ -37,7 +42,10 @@ fn optimization_preserves_equivalence_on_designs() {
     let config = SynthConfig::default();
     let lib = Library::synthetic_025um();
     for t in all_designs() {
-        let flow = run_flow(&t.dfg, MergeStrategy::New, &config).expect("synthesis");
+        let flow = healthy(
+            run_flow_guarded(&t.dfg, MergeStrategy::New, &config, &FlowBudget::default())
+                .expect("synthesis"),
+        );
         let mut nl = flow.netlist;
         let before = nl.longest_path(&lib).delay_ns;
         let report = optimize(
@@ -62,7 +70,10 @@ fn merging_monotonically_improves_designs() {
         let mut area = Vec::new();
         let mut cpas = Vec::new();
         for strategy in [MergeStrategy::None, MergeStrategy::Old, MergeStrategy::New] {
-            let flow = run_flow(&t.dfg, strategy, &config).expect("synthesis");
+            let flow = healthy(
+                run_flow_guarded(&t.dfg, strategy, &config, &FlowBudget::default())
+                    .expect("synthesis"),
+            );
             let mut nl = flow.netlist;
             datapath_merge::opt::fold_constants(&mut nl);
             let nl = nl.sweep();
@@ -88,7 +99,15 @@ fn width_transformed_designs_round_trip_through_all_adder_configs() {
                 for compression in [false, true] {
                     let config =
                         SynthConfig { adder, reduction, sign_ext_compression: compression };
-                    let flow = run_flow(&t.dfg, MergeStrategy::New, &config).expect("synthesis");
+                    let flow = healthy(
+                        run_flow_guarded(
+                            &t.dfg,
+                            MergeStrategy::New,
+                            &config,
+                            &FlowBudget::default(),
+                        )
+                        .expect("synthesis"),
+                    );
                     assert_equivalent(&t.dfg, &flow.netlist, 17, 8);
                 }
             }

@@ -1,5 +1,8 @@
 //! QoR counters and span recording, pinned on the paper's Figure 3.
 
+mod common;
+
+use common::healthy;
 use datapath_merge::prelude::*;
 use datapath_merge::testcases::figures;
 
@@ -13,9 +16,18 @@ fn fig3_metrics_match_hand_computed_values() {
     let fig = figures::fig3();
     let mut rec = Recorder::new();
     let mut tr = TraceLog::disabled();
-    let flow =
-        run_flow_with(&fig.g, MergeStrategy::New, &SynthConfig::default(), &mut rec, &mut tr)
-            .unwrap();
+    let budget = FlowBudget::default();
+    let flow = healthy(
+        run_flow_guarded_with(
+            &fig.g,
+            MergeStrategy::New,
+            &SynthConfig::default(),
+            &budget,
+            &mut rec,
+            &mut tr,
+        )
+        .unwrap(),
+    );
     let m = &flow.metrics;
     assert_eq!(m.strategy, "new-merge");
     assert_eq!(m.node_width_before, 33);
@@ -38,19 +50,31 @@ fn fig3_metrics_match_hand_computed_values() {
     assert_eq!(q.clusters, m.clusters);
 }
 
-/// The recorder sees the whole stage hierarchy: flow root, clustering
-/// (with the width pipeline nested inside), synthesis.
+/// The recorder sees the whole stage hierarchy: the guarded flow root,
+/// the width stage (with the width pipeline nested inside), clustering,
+/// synthesis.
 #[test]
 fn fig3_spans_nest_by_stage() {
     let fig = figures::fig3();
     let mut rec = Recorder::new();
     let mut tr = TraceLog::disabled();
-    run_flow_with(&fig.g, MergeStrategy::New, &SynthConfig::default(), &mut rec, &mut tr).unwrap();
+    let budget = FlowBudget::default();
+    healthy(
+        run_flow_guarded_with(
+            &fig.g,
+            MergeStrategy::New,
+            &SynthConfig::default(),
+            &budget,
+            &mut rec,
+            &mut tr,
+        )
+        .unwrap(),
+    );
     let names: Vec<(&str, usize)> = rec.records().iter().map(|r| (r.name(), r.depth())).collect();
-    assert_eq!(names[0], ("flow new-merge", 0));
-    assert!(names.contains(&("clustering", 1)), "{names:?}");
-    assert!(names.contains(&("cluster_max", 2)), "{names:?}");
-    assert!(names.contains(&("optimize_widths", 3)), "{names:?}");
+    assert_eq!(names[0], ("guarded flow new-merge", 0));
+    assert!(names.contains(&("guarded widths", 1)), "{names:?}");
+    assert!(names.contains(&("optimize_widths", 2)), "{names:?}");
+    assert!(names.contains(&("guarded clustering", 1)), "{names:?}");
     assert!(names.contains(&("synthesize", 1)), "{names:?}");
     assert!(names.contains(&("emit_clusters", 2)), "{names:?}");
 }
@@ -62,7 +86,10 @@ fn fig3_spans_nest_by_stage() {
 fn flow_metrics_json_identical_across_runs() {
     let render = || {
         let fig = figures::fig3();
-        let flow = run_flow(&fig.g, MergeStrategy::New, &SynthConfig::default()).unwrap();
+        let budget = FlowBudget::default();
+        let flow = healthy(
+            run_flow_guarded(&fig.g, MergeStrategy::New, &SynthConfig::default(), &budget).unwrap(),
+        );
         flow.qor(&Library::synthetic_025um()).to_json().render()
     };
     let (a, b) = (render(), render());

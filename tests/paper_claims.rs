@@ -1,5 +1,8 @@
 //! The paper's specific, checkable claims, asserted end to end.
 
+mod common;
+
+use common::healthy;
 use datapath_merge::analysis::naive_skewed_bound;
 use datapath_merge::prelude::*;
 use datapath_merge::testcases::{families, figures};
@@ -116,8 +119,11 @@ fn claim_sum_of_products_single_cpa() {
 
     let lib = Library::synthetic_025um();
     let config = SynthConfig::default();
-    let merged = run_flow(&g, MergeStrategy::New, &config).unwrap();
-    let unmerged = run_flow(&g, MergeStrategy::None, &config).unwrap();
+    let merged =
+        healthy(run_flow_guarded(&g, MergeStrategy::New, &config, &FlowBudget::default()).unwrap());
+    let unmerged = healthy(
+        run_flow_guarded(&g, MergeStrategy::None, &config, &FlowBudget::default()).unwrap(),
+    );
     assert_eq!(merged.clustering.len(), 1);
     assert_eq!(unmerged.clustering.len(), 3);
     assert!(

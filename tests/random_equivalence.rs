@@ -6,6 +6,9 @@
 //! partition, and (4) every synthesized netlist is bit-exact with the
 //! bit-accurate evaluator.
 
+mod common;
+
+use common::healthy;
 use datapath_merge::analysis::info_content_with;
 use datapath_merge::dfg::gen::{random_dfg, random_inputs, GenConfig};
 use datapath_merge::prelude::*;
@@ -28,7 +31,7 @@ proptest! {
         );
         let config = SynthConfig::default();
         for strategy in [MergeStrategy::None, MergeStrategy::Old, MergeStrategy::New] {
-            let flow = run_flow(&g, strategy, &config).expect("synthesis succeeds");
+            let flow = healthy(run_flow_guarded(&g, strategy, &config, &FlowBudget::default()).expect("synthesis succeeds"));
             flow.clustering.validate(&flow.graph).expect("valid partition");
             for _ in 0..6 {
                 let inputs = random_inputs(&g, &mut rng);
@@ -76,7 +79,11 @@ proptest! {
             &GenConfig { num_inputs, num_ops, ..GenConfig::default() },
         );
         let lib = Library::synthetic_025um();
-        let flow = run_flow(&g, MergeStrategy::New, &SynthConfig::default()).expect("synthesis");
+        let budget = FlowBudget::default();
+        let flow = healthy(
+            run_flow_guarded(&g, MergeStrategy::New, &SynthConfig::default(), &budget)
+                .expect("synthesis"),
+        );
         let mut nl = flow.netlist;
         let before = nl.longest_path(&lib).delay_ns;
         optimize(

@@ -6,15 +6,24 @@
 //! (the recorded widths on Figures 2 and 3 are the ones the prose
 //! derives).
 
+mod common;
+
+use common::healthy;
 use datapath_merge::prelude::*;
 use datapath_merge::testcases::figures;
 
 fn trace_of(g: &Dfg) -> Vec<TraceEvent> {
-    let mut opt = g.clone();
-    let mut rec = Recorder::new();
     let mut tr = TraceLog::new();
-    let _ = cluster_max_with(&mut opt, &mut rec, &mut tr);
+    guarded(g, MergeStrategy::New, &mut tr);
     tr.events().to_vec()
+}
+
+/// The guarded flow at its default budget with a fresh recorder, asserted
+/// undegraded.
+fn guarded(g: &Dfg, strategy: MergeStrategy, tr: &mut TraceLog) -> FlowResult {
+    let (config, budget) = (SynthConfig::default(), FlowBudget::default());
+    let mut rec = Recorder::new();
+    healthy(run_flow_guarded_with(g, strategy, &config, &budget, &mut rec, tr).unwrap())
 }
 
 /// Same design, two independent runs: byte-identical event streams.
@@ -106,23 +115,18 @@ fn fig2_trace_matches_hand_derived_chain() {
 #[test]
 fn run_flow_threads_the_trace_and_disabled_stays_empty() {
     let fig = figures::fig3();
-    let mut rec = Recorder::new();
     let mut tr = TraceLog::new();
-    let flow =
-        run_flow_with(&fig.g, MergeStrategy::New, &SynthConfig::default(), &mut rec, &mut tr)
-            .unwrap();
+    let flow = guarded(&fig.g, MergeStrategy::New, &mut tr);
     assert!(!tr.is_empty());
     assert_eq!(flow.clustering.len(), 1);
 
-    let mut rec = Recorder::new();
     let mut off = TraceLog::disabled();
-    run_flow_with(&fig.g, MergeStrategy::New, &SynthConfig::default(), &mut rec, &mut off).unwrap();
+    guarded(&fig.g, MergeStrategy::New, &mut off);
     assert!(off.is_empty());
 
     // Old-merge flows never consult the analysis passes that trace.
-    let mut rec = Recorder::new();
     let mut tr = TraceLog::new();
-    run_flow_with(&fig.g, MergeStrategy::Old, &SynthConfig::default(), &mut rec, &mut tr).unwrap();
+    guarded(&fig.g, MergeStrategy::Old, &mut tr);
     assert!(tr.is_empty());
 }
 
