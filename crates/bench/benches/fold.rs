@@ -8,6 +8,14 @@
 //! regression back to super-linear behavior shows up here as a
 //! hundreds-of-times slowdown, far outside criterion noise.
 //!
+//! Synthesis emits its carry-save trees and final adders already folded,
+//! so a synthesized netlist leaves the fold little to do. The
+//! `fold_constants_tied` member therefore ties a seeded 10 % of the S1000
+//! netlist's input-bit pins to constants first: the constants cascade
+//! through the partial products, trees and adders behind those pins, so
+//! the fold replaces about 5.6k of the 42.8k gates instead of 4.5k (the
+//! untied netlist's partial products, negations and adder sum bits).
+//!
 //! `audit_fold_sweep_sta` runs the whole gate-level back end of a guarded
 //! flow on the S1000 netlist: the audit's `check` + `simulate_batch`,
 //! then `fold_constants`, `sweep` and `longest_path`. A synthesized
@@ -36,6 +44,22 @@ fn synthesized(ops: usize) -> Netlist {
         .netlist
 }
 
+/// A copy of `nl` with a seeded `percent` % of the gate pins that read a
+/// primary input bit rewired to constant 0 or 1.
+fn tie_input_pins(nl: &Netlist, percent: u32, seed: u64) -> Netlist {
+    let mut tied = nl.clone();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (zero, one) = (tied.const0(), tied.const1());
+    for g in nl.gate_ids() {
+        for (pin, &net) in nl.gate_inputs(g).iter().enumerate() {
+            if nl.is_input_net(net) && rng.gen_range(0..100) < percent {
+                tied.rewire_gate_input(g, pin, if rng.gen_bool(0.5) { one } else { zero });
+            }
+        }
+    }
+    tied
+}
+
 fn bench_fold(c: &mut Criterion) {
     let mut group = c.benchmark_group("fold");
     group.sample_size(10);
@@ -58,9 +82,27 @@ fn bench_fold(c: &mut Criterion) {
             })
         });
     }
-    let lib = Library::synthetic_025um();
     // Fresh from synthesis, so every clone starts without a cached order.
     let nl = synthesized(1000);
+    let tied = tie_input_pins(&nl, 10, 1);
+    // Gates the fold itself replaces (their output loses every reader).
+    let folded_away = |nl: &Netlist| {
+        let unread =
+            |nl: &Netlist| nl.gate_ids().filter(|&g| nl.fanout_of(nl.gate_output(g)) == 0).count();
+        let mut folded = nl.clone();
+        fold_constants(&mut folded);
+        unread(&folded) - unread(nl)
+    };
+    let (before, after) = (folded_away(&nl), folded_away(&tied));
+    assert!(after > before, "tied pins fold {after} gates, untied {before}");
+    group.bench_with_input(BenchmarkId::new("fold_constants_tied", 1000), &tied, |b, nl| {
+        b.iter(|| {
+            let mut nl = nl.clone();
+            fold_constants(&mut nl);
+            nl.num_gates()
+        })
+    });
+    let lib = Library::synthetic_025um();
     let mut rng = StdRng::seed_from_u64(1);
     let lanes: Vec<Vec<BitVec>> = (0..8)
         .map(|_| {

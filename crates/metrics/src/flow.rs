@@ -53,7 +53,12 @@ pub struct FlowMetrics {
     /// Final carry-propagate adders actually instantiated (degenerate
     /// wiring-only clusters pay none).
     pub cpa_count: usize,
-    /// Gate count of the netlist being measured.
+    /// Gate count of the netlist being measured. The guarded flow fills in
+    /// the *emitted* count: what synthesis built, before constant folding
+    /// and the dead-gate sweep. Synthesis emits its carry-save trees and
+    /// final adders already folded and without dead cells, so this is
+    /// close to, but not, the final count; `dpmc bench` and the benchmark
+    /// overwrite it with the final (folded and swept) netlist's count.
     pub gates: usize,
     /// Longest-path delay (ns) under the measuring library; 0 until STA
     /// runs.

@@ -276,6 +276,69 @@ impl Netlist {
         output
     }
 
+    /// The constant-folding rule for one gate: the net that a `kind` gate
+    /// reading `a` and `b` can be replaced by, or `None` if the gate must
+    /// stay. One-input cells read only `a` (pass it twice).
+    ///
+    /// A gate folds to a constant when all its inputs are constant or one
+    /// input is its absorbing value (0 for AND/NAND, 1 for OR/NOR). It
+    /// folds to its other input when one input is the identity of a
+    /// non-inverting gate (1 for AND, 0 for OR and XOR). A buffer always
+    /// folds. Nothing else folds: an inverting gate or an XOR with a
+    /// constant one would need an inverter in the gate's place.
+    ///
+    /// `dp_opt::fold_constants` applies this rule to every gate, and
+    /// [`Netlist::gate_folded`] applies it while emitting. It may create
+    /// the constant net it returns.
+    pub fn folded(&mut self, kind: CellKind, a: NetId, b: NetId) -> Option<NetId> {
+        let (ca, cb) = (self.const_value(a), self.const_value(b));
+        match kind {
+            CellKind::Inv => ca.map(|v| self.const_net(!v)),
+            CellKind::Buf => Some(ca.map_or(a, |v| self.const_net(v))),
+            CellKind::And2 | CellKind::Nand2 | CellKind::Or2 | CellKind::Nor2 => {
+                let absorb = matches!(kind, CellKind::Or2 | CellKind::Nor2);
+                let inverted = matches!(kind, CellKind::Nand2 | CellKind::Nor2);
+                match (ca, cb) {
+                    (Some(x), Some(y)) => {
+                        let v = if absorb { x || y } else { x && y };
+                        Some(self.const_net(v ^ inverted))
+                    }
+                    (Some(v), None) | (None, Some(v)) if v == absorb => {
+                        Some(self.const_net(absorb ^ inverted))
+                    }
+                    (Some(_), None) if !inverted => Some(b),
+                    (None, Some(_)) if !inverted => Some(a),
+                    _ => None,
+                }
+            }
+            CellKind::Xor2 | CellKind::Xnor2 => {
+                let inverted = kind == CellKind::Xnor2;
+                match (ca, cb) {
+                    (Some(x), Some(y)) => Some(self.const_net(x ^ y ^ inverted)),
+                    (Some(false), None) if !inverted => Some(b),
+                    (None, Some(false)) if !inverted => Some(a),
+                    _ => None,
+                }
+            }
+        }
+    }
+
+    /// Instantiates a unit-drive gate unless [`Netlist::folded`] replaces
+    /// it, in which case no gate is created and the replacement net is
+    /// returned. Synthesis emits with this wherever no later step tells
+    /// nets apart by identity (see `DESIGN.md`, "emission contract").
+    ///
+    /// # Panics
+    ///
+    /// Panics if the input count does not match the cell's arity.
+    pub fn gate_folded(&mut self, kind: CellKind, inputs: &[NetId]) -> NetId {
+        assert_eq!(inputs.len(), kind.arity(), "{kind} takes {} input(s)", kind.arity());
+        match self.folded(kind, inputs[0], inputs[inputs.len() - 1]) {
+            Some(net) => net,
+            None => self.gate(kind, inputs),
+        }
+    }
+
     /// Number of gate instances.
     pub fn num_gates(&self) -> usize {
         self.gates.len()
@@ -673,6 +736,40 @@ mod tests {
         let o1 = n.const1();
         assert_eq!(z1, z2);
         assert_ne!(z1, o1);
+    }
+
+    #[test]
+    fn folded_gates_keep_their_function() {
+        // Every cell over every pin mix of a free bit and the two
+        // constants: where the rule folds, the replacement computes the
+        // gate's function on both values of the free bit; `gate_folded`
+        // emits a gate exactly where the rule does not fold.
+        for kind in CellKind::ALL {
+            for pins in 0..9 {
+                let mut n = Netlist::new();
+                let x = n.input("x", 1)[0];
+                let pick = |n: &mut Netlist, p: usize| match p {
+                    0 => x,
+                    1 => n.const0(),
+                    _ => n.const1(),
+                };
+                let (a, b) = (pick(&mut n, pins % 3), pick(&mut n, pins / 3));
+                let ins = &[a, b][..kind.arity()];
+                let gate = n.gate(kind, ins);
+                let replacement = n.folded(kind, a, b);
+                let emitted = n.gate_folded(kind, ins);
+                if let Some(r) = replacement {
+                    assert_eq!(emitted, r, "{kind}");
+                }
+                assert_eq!(n.num_gates(), 1 + usize::from(replacement.is_none()), "{kind}");
+                n.output("gate", vec![gate]);
+                n.output("emitted", vec![emitted]);
+                for v in 0..2 {
+                    let out = n.simulate(&[dp_bitvec::BitVec::from_u64(1, v)]).unwrap();
+                    assert_eq!(out[0], out[1], "{kind} pins {pins} x={v}");
+                }
+            }
+        }
     }
 
     #[test]

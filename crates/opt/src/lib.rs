@@ -6,8 +6,10 @@
 //! left. This crate provides that optimization step:
 //!
 //! * **constant folding** — gates with constant inputs are replaced by
-//!   constants or wires (the carry-save machinery leaves a sprinkle of
-//!   constant bits behind);
+//!   constants or wires under the per-gate rule [`Netlist::folded`]
+//!   (synthesis already emits its carry-save trees and final adders
+//!   folded; partial products, negations and adder sum outputs still
+//!   leave constant bits behind);
 //! * **dead-gate sweeping** — logic unreachable from any output is
 //!   removed;
 //! * **critical-path gate sizing** — gates on (near-)critical paths are
@@ -270,29 +272,7 @@ pub fn fold_constants_watched(nl: &mut Netlist, wd: &Watchdog) -> bool {
         let pin1 = pins[pins.len() - 1];
         let a = resolve(&mut repl, pin0);
         let b = resolve(&mut repl, pin1);
-        let (ca, cb) = (nl.const_value(a), nl.const_value(b));
-        let new: Option<NetId> = match kind {
-            CellKind::Inv => ca.map(|v| constant(nl, !v)),
-            CellKind::Buf => Some(ca.map_or(a, |v| constant(nl, v))),
-            CellKind::And2 | CellKind::Nand2 => {
-                let inverted = kind == CellKind::Nand2;
-                fold_binary(nl, &[a, b], &[ca, cb], false, inverted)
-            }
-            CellKind::Or2 | CellKind::Nor2 => {
-                let inverted = kind == CellKind::Nor2;
-                fold_binary(nl, &[a, b], &[ca, cb], true, inverted)
-            }
-            CellKind::Xor2 | CellKind::Xnor2 => {
-                let inverted = kind == CellKind::Xnor2;
-                match (ca, cb) {
-                    (Some(x), Some(y)) => Some(constant(nl, (x ^ y) ^ inverted)),
-                    (Some(false), None) if !inverted => Some(b),
-                    (None, Some(false)) if !inverted => Some(a),
-                    _ => None,
-                }
-            }
-        };
-        if let Some(n) = new {
+        if let Some(n) = nl.folded(kind, a, b) {
             // Resolving here also extends the table with an identity entry
             // when `n` is a constant net created moments ago.
             let n = resolve(&mut repl, n);
@@ -373,30 +353,9 @@ fn fold_sweeping_watched(nl: &mut Netlist, wd: &Watchdog) -> bool {
                 continue; // already folded away; the sweep will drop it
             }
             let (kind, _) = nl.gate_info(g);
-            let ins = nl.gate_inputs(g).to_vec();
-            let consts: Vec<Option<bool>> = ins.iter().map(|&n| nl.const_value(n)).collect();
-            let new: Option<NetId> = match kind {
-                CellKind::Inv => consts[0].map(|v| constant(nl, !v)),
-                CellKind::Buf => Some(consts[0].map_or(ins[0], |v| constant(nl, v))),
-                CellKind::And2 | CellKind::Nand2 => {
-                    let inverted = kind == CellKind::Nand2;
-                    fold_binary(nl, &ins, &consts, false, inverted)
-                }
-                CellKind::Or2 | CellKind::Nor2 => {
-                    let inverted = kind == CellKind::Nor2;
-                    fold_binary(nl, &ins, &consts, true, inverted)
-                }
-                CellKind::Xor2 | CellKind::Xnor2 => {
-                    let inverted = kind == CellKind::Xnor2;
-                    match (consts[0], consts[1]) {
-                        (Some(a), Some(b)) => Some(constant(nl, (a ^ b) ^ inverted)),
-                        (Some(false), None) if !inverted => Some(ins[1]),
-                        (None, Some(false)) if !inverted => Some(ins[0]),
-                        _ => None,
-                    }
-                }
-            };
-            if let Some(n) = new {
+            let pins = nl.gate_inputs(g);
+            let (a, b) = (pins[0], pins[pins.len() - 1]);
+            if let Some(n) = nl.folded(kind, a, b) {
                 if n != out {
                     replace.push((out, n));
                 }
@@ -408,45 +367,6 @@ fn fold_sweeping_watched(nl: &mut Netlist, wd: &Watchdog) -> bool {
         for (old, new) in replace {
             rewire_all(nl, old, new);
         }
-    }
-}
-
-/// Folding rule for AND/NAND (identity = true absorbs) and OR/NOR
-/// (identity = false absorbs), with optional output inversion. Returns the
-/// replacement net if the gate folds to a constant; wire replacements are
-/// only possible for the non-inverting forms.
-fn fold_binary(
-    nl: &mut Netlist,
-    ins: &[NetId],
-    consts: &[Option<bool>],
-    absorb: bool,
-    inverted: bool,
-) -> Option<NetId> {
-    match (consts[0], consts[1]) {
-        (Some(a), Some(b)) => {
-            let v = if absorb { a || b } else { a && b };
-            Some(constant(nl, v ^ inverted))
-        }
-        (Some(v), None) | (None, Some(v)) => {
-            if v == absorb {
-                // Absorbing constant: result is the constant itself.
-                Some(constant(nl, absorb ^ inverted))
-            } else if !inverted {
-                // Identity constant on a non-inverting gate: wire through.
-                Some(if consts[0].is_some() { ins[1] } else { ins[0] })
-            } else {
-                None
-            }
-        }
-        (None, None) => None,
-    }
-}
-
-fn constant(nl: &mut Netlist, v: bool) -> NetId {
-    if v {
-        nl.const1()
-    } else {
-        nl.const0()
     }
 }
 

@@ -13,9 +13,14 @@
 //!    bytes, differentially audit against the *request's* design, run a
 //!    fresh STA pass;
 //! 2. **cluster** (`{hash}-{strategy}`): decode graph + clustering,
-//!    re-synthesize under the request watchdog, audit, backfill the
-//!    netlist entry;
-//! 3. **miss**: the full guarded flow ([`run_flow_guarded`]).
+//!    re-synthesize under the request watchdog, fold and sweep, audit,
+//!    backfill the netlist entry;
+//! 3. **miss**: the full guarded flow ([`run_flow_guarded`]), then fold
+//!    and sweep.
+//!
+//! The netlist measured and stored is always the final one (constants
+//! folded, dead gates swept), so a served QoR equals what `dpmc run`
+//! reports for the same design and configuration.
 //!
 //! Every audit is a [`dp_synth::Equiv`] built from the request's design.
 //!
@@ -41,8 +46,9 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use dp_dfg::{canonical_form, decode_canonical, encode_canonical, Dfg};
-use dp_metrics::{Json, Recorder};
+use dp_metrics::{Json, Recorder, Watchdog};
 use dp_netlist::{Library, Netlist};
+use dp_opt::fold_constants_watched;
 use dp_synth::{
     run_flow_guarded, synthesize_watched, AdderKind, Equiv, FlowBudget, MergeStrategy, Mismatch,
     ReductionKind, SynthConfig, SynthError,
@@ -534,6 +540,7 @@ impl Service {
         let wd = budget.watchdog();
         match synthesize_watched(&graph, &clustering, &req.config, &mut Recorder::disabled(), &wd) {
             Ok((nl, csa)) => {
+                let nl = finish_netlist(nl, &wd)?;
                 if let Some(m) = oracle.netlist_mismatch(&nl) {
                     self.store_quarantine(ArtifactKind::Cluster, &keys.cluster, &netlist_defect(m));
                     return Ok(None);
@@ -576,8 +583,9 @@ impl Service {
                 SynthError::Budget(limit) => Failure::Budget(limit),
                 other => Failure::Error(classify_synth(&other)),
             })?;
-        let flow = &guarded.flow;
         let degraded = guarded.degradation.as_ref().map(|d| d.tags()).unwrap_or_default();
+        let flow = guarded.flow;
+        let netlist = finish_netlist(flow.netlist, &budget.watchdog())?;
         if level == CacheLevel::Miss && degraded.is_empty() {
             let keys = Keys::new(hash, req.strategy, &req.config);
             // Cluster artifacts are stored in the transformed graph's own
@@ -601,13 +609,13 @@ impl Service {
                         csa_depth: flow.metrics.csa_depth,
                         cpa_count: flow.metrics.cpa_count,
                     },
-                    &flow.netlist.to_bytes(),
+                    &netlist.to_bytes(),
                 ),
             );
         }
         let mut success = measure(
             req.strategy,
-            &flow.netlist,
+            &netlist,
             flow.metrics.clusters,
             flow.metrics.cpa_count,
             flow.metrics.csa_depth,
@@ -677,6 +685,17 @@ fn classify_synth(e: &SynthError) -> WorkerError {
 
 fn elapsed_us(started: Instant) -> u64 {
     u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX)
+}
+
+/// The final netlist of a synthesized one: constants folded, dead gates
+/// swept, as `dpmc run` and `dpmc bench` report it. Serve measures and
+/// stores this netlist, so its QoR is theirs. The fold polls `wd`.
+fn finish_netlist(mut nl: Netlist, wd: &Watchdog) -> Result<Netlist, Failure> {
+    if !fold_constants_watched(&mut nl, wd) {
+        let limit = wd.trip().map_or_else(|| "supervision".to_string(), |t| t.to_string());
+        return Err(Failure::Budget(limit));
+    }
+    Ok(nl.sweep())
 }
 
 /// STA + counters for a finished netlist, under the measuring library the
