@@ -330,7 +330,7 @@ pub fn optimize_widths_budgeted_with(
     let mut report = TransformReport::default();
     let mut total_pushes = 0usize;
     let wd = Watchdog::new(budget.deadline, budget.max_live_bytes);
-    #[cfg(feature = "verify")]
+    #[cfg(debug_assertions)]
     let mut watch = verify::RoundWatch::new(g);
     let mut eng = Engine::new(g);
     eng.set_timing(rec.level() == dp_metrics::Level::Full);
@@ -370,7 +370,7 @@ pub fn optimize_widths_budgeted_with(
             elapsed: started.elapsed(),
         });
         rec.finish(round);
-        #[cfg(feature = "verify")]
+        #[cfg(debug_assertions)]
         watch.check_round(g, report.rounds);
         // The supervision check must precede the convergence check: an
         // aborted round reports zero changes, which is not a fixpoint.
@@ -472,7 +472,7 @@ pub fn optimize_widths_full_with(
 ) -> TransformReport {
     let pipeline = rec.span("optimize_widths");
     let mut report = TransformReport::default();
-    #[cfg(feature = "verify")]
+    #[cfg(debug_assertions)]
     let mut watch = verify::RoundWatch::new(g);
     loop {
         let round = rec.span(format!("round {}", report.rounds + 1));
@@ -508,7 +508,7 @@ pub fn optimize_widths_full_with(
             elapsed: started.elapsed(),
         });
         rec.finish(round);
-        #[cfg(feature = "verify")]
+        #[cfg(debug_assertions)]
         watch.check_round(g, report.rounds);
         if n_rp + e_rp + e_ic + ext + n_ic == 0 {
             report.converged = true;
@@ -530,11 +530,10 @@ fn total_bits(g: &Dfg) -> i64 {
     (nodes + edges) as i64
 }
 
-/// Per-round invariant checking behind the `verify` feature: every pass in
-/// the pipeline may only *narrow* pre-existing nodes and edges, and must
-/// leave the graph structurally valid. Violations are reported with
-/// `debug_assert!`, so release builds pay nothing.
-#[cfg(feature = "verify")]
+/// Per-round invariant checking in debug builds: every pass in the
+/// pipeline may only *narrow* pre-existing nodes and edges, and must leave
+/// the graph structurally valid. Release builds compile none of it.
+#[cfg(debug_assertions)]
 mod verify {
     use dp_dfg::Dfg;
 
@@ -549,7 +548,7 @@ mod verify {
         }
 
         pub(super) fn check_round(&mut self, g: &Dfg, round: usize) {
-            debug_assert!(
+            assert!(
                 g.validate().is_ok(),
                 "width pipeline round {round} broke structural validity: {:?}",
                 g.validate().unwrap_err().to_string()
@@ -557,13 +556,13 @@ mod verify {
             let nodes = snapshot_nodes(g);
             let edges = snapshot_edges(g);
             for (i, (&before, &after)) in self.node_widths.iter().zip(&nodes).enumerate() {
-                debug_assert!(
+                assert!(
                     after <= before,
                     "round {round} widened node n{i} from {before} to {after}"
                 );
             }
             for (i, (&before, &after)) in self.edge_widths.iter().zip(&edges).enumerate() {
-                debug_assert!(
+                assert!(
                     after <= before,
                     "round {round} widened edge e{i} from {before} to {after}"
                 );

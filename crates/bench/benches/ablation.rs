@@ -9,7 +9,9 @@
 //! area are printed once per configuration) and by its synthesis runtime.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use dp_metrics::{Recorder, Watchdog};
 use dp_netlist::Library;
+use dp_opt::finish;
 use dp_synth::{
     run_flow_guarded, AdderKind, FlowBudget, MergeStrategy, ReductionKind, SynthConfig,
 };
@@ -20,15 +22,13 @@ fn quality(name: &str, config: &SynthConfig, lib: &Library) {
     let flow = run_flow_guarded(&g, MergeStrategy::New, config, &FlowBudget::default())
         .expect("synthesis")
         .flow;
-    let mut nl = flow.netlist;
-    dp_opt::fold_constants(&mut nl);
-    let nl = nl.sweep();
-    let t = nl.longest_path(lib);
+    let done = finish(flow.netlist, lib, &mut Recorder::disabled(), &Watchdog::disabled())
+        .expect("an unarmed watchdog never trips");
     eprintln!(
         "[ablation] {name}: delay {:.3} ns, area {:.1}, gates {}",
-        t.delay_ns,
-        nl.area(lib),
-        nl.num_gates()
+        done.delay_ns,
+        done.area,
+        done.netlist.num_gates()
     );
 }
 

@@ -3,7 +3,9 @@
 //! binary; this bench tracks the cost of producing it).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use dp_metrics::{Recorder, Watchdog};
 use dp_netlist::Library;
+use dp_opt::finish;
 use dp_synth::{run_flow_guarded, FlowBudget, MergeStrategy, SynthConfig};
 use dp_testcases::all_designs;
 
@@ -24,11 +26,11 @@ fn bench_flows(c: &mut Criterion) {
                         let flow = run_flow_guarded(g, strategy, &config, &FlowBudget::default())
                             .expect("synthesis")
                             .flow;
-                        // Folding + timing is part of the measured flow.
-                        let mut nl = flow.netlist;
-                        dp_opt::fold_constants(&mut nl);
-                        let nl = nl.sweep();
-                        nl.longest_path(&lib).delay_ns
+                        // The post-flow stage is part of the measured flow.
+                        let wd = Watchdog::disabled();
+                        finish(flow.netlist, &lib, &mut Recorder::disabled(), &wd)
+                            .expect("an unarmed watchdog never trips")
+                            .delay_ns
                     })
                 },
             );

@@ -3,9 +3,10 @@
 //! paper's Table 2 reports directly ("Opt time").
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use dp_bench::measure_flow;
 use dp_netlist::Library;
 use dp_opt::{optimize, OptConfig};
-use dp_synth::{run_flow_guarded, FlowBudget, MergeStrategy, SynthConfig};
+use dp_synth::{MergeStrategy, SynthConfig};
 use dp_testcases::all_designs;
 
 fn bench_optimization(c: &mut Criterion) {
@@ -16,27 +17,16 @@ fn bench_optimization(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_millis(500));
     group.measurement_time(std::time::Duration::from_secs(2));
     for t in all_designs() {
-        // Fix the target halfway between the flows' post-synthesis
-        // delays, as the table2 binary does.
-        let new_flow =
-            run_flow_guarded(&t.dfg, MergeStrategy::New, &config, &FlowBudget::default())
-                .expect("synthesis")
-                .flow;
-        let old_flow =
-            run_flow_guarded(&t.dfg, MergeStrategy::Old, &config, &FlowBudget::default())
-                .expect("synthesis")
-                .flow;
-        let d_new = new_flow.netlist.longest_path(&lib).delay_ns;
-        let d_old = old_flow.netlist.longest_path(&lib).delay_ns;
-        let target = d_new + 0.5 * (d_old - d_new).max(0.0);
+        // The optimizer starts from each flow's final netlist; the target
+        // sits halfway between their delays, as the table2 binary sets it.
+        let (m_old, nl_old) = measure_flow(&t.dfg, MergeStrategy::Old, &config, &lib);
+        let (m_new, nl_new) = measure_flow(&t.dfg, MergeStrategy::New, &config, &lib);
+        let target = m_new.delay_ns + 0.5 * (m_old.delay_ns - m_new.delay_ns).max(0.0);
         let opt_config = OptConfig { target_delay_ns: target, ..OptConfig::default() };
-        for strategy in [MergeStrategy::Old, MergeStrategy::New] {
-            let flow = run_flow_guarded(&t.dfg, strategy, &config, &FlowBudget::default())
-                .expect("synthesis")
-                .flow;
+        for (strategy, netlist) in [(MergeStrategy::Old, nl_old), (MergeStrategy::New, nl_new)] {
             group.bench_with_input(
                 BenchmarkId::new(format!("{strategy}"), t.name),
-                &flow.netlist,
+                &netlist,
                 |b, nl| {
                     b.iter(|| {
                         let mut nl = nl.clone();

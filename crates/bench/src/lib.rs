@@ -27,9 +27,9 @@
 use std::time::Duration;
 
 use dp_dfg::Dfg;
-use dp_metrics::FlowMetrics;
+use dp_metrics::{FlowMetrics, Recorder, Watchdog};
 use dp_netlist::{Library, Netlist};
-use dp_opt::{optimize, OptConfig};
+use dp_opt::{finish, optimize, OptConfig};
 use dp_synth::{run_flow_guarded, Equiv, FlowBudget, FlowResult, MergeStrategy, SynthConfig};
 use dp_testcases::Testcase;
 
@@ -42,11 +42,11 @@ pub struct FlowMeasure {
     pub area: f64,
     /// Number of clusters (carry-propagate adders paid).
     pub clusters: usize,
-    /// Gate count after the zero-effort cleanup.
+    /// Gate count of the final netlist.
     pub gates: usize,
     /// The flow's full QoR counter set — the same [`dp_metrics`] counters
-    /// `dpmc bench` emits, with gates/delay/area re-measured on the
-    /// cleaned-up netlist.
+    /// `dpmc bench` emits, with gates/delay/area measured on the final
+    /// netlist.
     pub metrics: FlowMetrics,
 }
 
@@ -105,10 +105,10 @@ fn reduction_pct(old: f64, new: f64) -> f64 {
     }
 }
 
-/// Runs one synthesis flow (the guarded driver at its default budget),
-/// applies the zero-effort cleanup (constant folding + dead-gate sweep,
-/// same for every flow) and verifies the result against the DFG
-/// evaluator.
+/// Runs one synthesis flow (the guarded driver at its default budget) and
+/// the post-flow stage [`finish`] (constant folding, dead-gate sweep,
+/// timing; the same for every flow), and verifies the final netlist
+/// against the DFG evaluator.
 ///
 /// # Panics
 ///
@@ -125,15 +125,11 @@ pub fn measure_flow(
     let guarded = run_flow_guarded(g, strategy, config, &FlowBudget::default())
         .expect("synthesis succeeds on valid designs");
     assert!(guarded.degradation.is_none(), "{strategy} degraded: {:?}", guarded.degradation);
-    let FlowResult { mut netlist, clustering, metrics, .. } = guarded.flow;
-    dp_opt::fold_constants(&mut netlist);
-    netlist = netlist.sweep();
-    assert_equivalent(g, &netlist, 20);
-    let timing = netlist.longest_path(lib);
-    let mut metrics = metrics;
-    metrics.gates = netlist.num_gates();
-    metrics.delay_ns = timing.delay_ns;
-    metrics.area = netlist.area(lib);
+    let FlowResult { netlist, clustering, mut metrics, .. } = guarded.flow;
+    let done = finish(netlist, lib, &mut Recorder::disabled(), &Watchdog::disabled())
+        .expect("an unarmed watchdog never trips");
+    assert_equivalent(g, &done.netlist, 20);
+    done.fill(&mut metrics);
     let m = FlowMeasure {
         delay_ns: metrics.delay_ns,
         area: metrics.area,
@@ -141,7 +137,7 @@ pub fn measure_flow(
         gates: metrics.gates,
         metrics,
     };
-    (m, netlist)
+    (m, done.netlist)
 }
 
 /// Checks a netlist against the DFG evaluator on `trials` random vectors.

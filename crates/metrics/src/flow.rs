@@ -57,8 +57,8 @@ pub struct FlowMetrics {
     /// the *emitted* count: what synthesis built, before constant folding
     /// and the dead-gate sweep. Synthesis emits its carry-save trees and
     /// final adders already folded and without dead cells, so this is
-    /// close to, but not, the final count; `dpmc bench` and the benchmark
-    /// overwrite it with the final (folded and swept) netlist's count.
+    /// close to, but not, the final count; `dp_opt::Finished::fill`
+    /// overwrites it with the final (folded and swept) netlist's count.
     pub gates: usize,
     /// Longest-path delay (ns) under the measuring library; 0 until STA
     /// runs.

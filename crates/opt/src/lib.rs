@@ -1,21 +1,24 @@
-//! Timing-driven gate-level optimization.
+//! Timing-driven gate-level optimization, and the post-flow stage every
+//! reporting surface shares.
 //!
 //! The paper's Table 2 measures the **runtime of timing-driven logic
 //! optimization** needed to bring each synthesized netlist to a target
 //! delay — the better the synthesis (merging) result, the less work is
-//! left. This crate provides that optimization step:
+//! left. This crate provides the stages after synthesis:
 //!
-//! * **constant folding** — gates with constant inputs are replaced by
-//!   constants or wires under the per-gate rule [`Netlist::folded`]
-//!   (synthesis already emits its carry-save trees and final adders
-//!   folded; partial products, negations and adder sum outputs still
-//!   leave constant bits behind);
-//! * **dead-gate sweeping** — logic unreachable from any output is
-//!   removed;
-//! * **critical-path gate sizing** — gates on (near-)critical paths are
-//!   upsized (X1 → X2 → X4) where that improves the worst path;
-//! * **fanout buffering** — heavily loaded nets on the critical path get
-//!   their non-critical consumers moved behind a buffer.
+//! * [`finish`] — the one post-flow stage: **constant folding** (gates
+//!   with constant inputs are replaced by constants or wires under the
+//!   per-gate rule [`Netlist::folded`]; synthesis already emits its
+//!   carry-save trees and final adders folded, while partial products,
+//!   negations and adder sum outputs still leave constant bits behind),
+//!   then the **dead-gate sweep** (logic unreachable from any output is
+//!   removed), then static timing and area. Every QoR figure is measured
+//!   on the netlist it returns;
+//! * [`optimize`] on a finished netlist — **critical-path gate sizing**
+//!   (gates on (near-)critical paths are upsized X1 → X2 → X4 where that
+//!   improves the worst path) and **fanout buffering** (heavily loaded
+//!   nets on the critical path get their non-critical consumers moved
+//!   behind a buffer).
 //!
 //! The optimizer iterates sizing/buffering until the target delay is met,
 //! no move helps, or the iteration cap is reached. Its wall-clock runtime
@@ -25,21 +28,26 @@
 //! # Example
 //!
 //! ```
+//! use dp_metrics::{Recorder, Watchdog};
 //! use dp_netlist::{CellKind, Library, Netlist};
-//! use dp_opt::{optimize, OptConfig};
+//! use dp_opt::{finish, optimize, OptConfig};
 //!
 //! let mut n = Netlist::new();
 //! let a = n.input("a", 1)[0];
-//! let mut w = a;
+//! let one = n.const1();
+//! let mut w = n.gate(CellKind::And2, &[a, one]); // folds to `a`
 //! for _ in 0..16 {
 //!     w = n.gate(CellKind::Xor2, &[w, a]);
 //! }
 //! n.output("o", vec![w]);
 //!
 //! let lib = Library::synthetic_025um();
-//! let before = n.longest_path(&lib).delay_ns;
-//! let report = optimize(&mut n, &lib, &OptConfig { target_delay_ns: before * 0.9, ..OptConfig::default() });
-//! assert!(report.end_delay_ns <= before);
+//! let done = finish(n, &lib, &mut Recorder::disabled(), &Watchdog::disabled()).unwrap();
+//! assert_eq!(done.netlist.num_gates(), 16, "the folded And2 was swept");
+//! let target = OptConfig { target_delay_ns: done.delay_ns * 0.9, ..OptConfig::default() };
+//! let mut n = done.netlist;
+//! let report = optimize(&mut n, &lib, &target);
+//! assert!(report.end_delay_ns <= done.delay_ns);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -47,7 +55,7 @@
 
 use std::time::{Duration, Instant};
 
-use dp_metrics::Watchdog;
+use dp_metrics::{FlowMetrics, Recorder, Watchdog, WatchdogTrip};
 use dp_netlist::{CellKind, GateId, IncrementalSta, Library, NetId, Netlist};
 
 /// Configuration for [`optimize`].
@@ -95,22 +103,74 @@ pub struct OptReport {
     pub gates_sized: usize,
     /// Buffers inserted.
     pub buffers_inserted: usize,
-    /// Gates removed by constant folding and sweeping.
-    pub gates_folded: usize,
 }
 
-/// Runs the full optimization recipe in place: constant folding and
-/// sweeping first, then iterative critical-path sizing and buffering until
-/// the target delay is met or no move improves the worst path.
+/// A flow's final netlist — constants folded, dead gates swept — with its
+/// longest-path delay and area under the measuring library.
+#[derive(Debug, Clone)]
+pub struct Finished {
+    /// The final netlist.
+    pub netlist: Netlist,
+    /// Longest-path delay (ns).
+    pub delay_ns: f64,
+    /// Area (library units).
+    pub area: f64,
+}
+
+impl Finished {
+    /// Times a netlist that is already final (a stored one, say) under
+    /// the `sta` span, without folding or sweeping it again.
+    pub fn measure(netlist: Netlist, lib: &Library, rec: &mut Recorder) -> Finished {
+        let sta = rec.span("sta");
+        let delay_ns = netlist.longest_path(lib).delay_ns;
+        let area = netlist.area(lib);
+        rec.finish(sta);
+        Finished { netlist, delay_ns, area }
+    }
+
+    /// Writes the final netlist's gate count, delay and area into a flow's
+    /// QoR counters.
+    pub fn fill(&self, metrics: &mut FlowMetrics) {
+        metrics.gates = self.netlist.num_gates();
+        metrics.delay_ns = self.delay_ns;
+        metrics.area = self.area;
+    }
+}
+
+/// The one post-flow stage: folds constants ([`fold_constants_watched`],
+/// polling `wd`), sweeps dead gates and times the result. Records the
+/// spans `fold_sweep` { `fold_constants`, `sweep` } and `sta`.
+///
+/// # Errors
+///
+/// Returns the limit `wd` hit when it trips during the fold.
+pub fn finish(
+    mut netlist: Netlist,
+    lib: &Library,
+    rec: &mut Recorder,
+    wd: &Watchdog,
+) -> Result<Finished, WatchdogTrip> {
+    let outer = rec.span("fold_sweep");
+    if !rec.scope("fold_constants", |_| fold_constants_watched(&mut netlist, wd)) {
+        rec.finish(outer);
+        // The fold only aborts on a trip, so `trip()` is set.
+        return Err(wd.trip().unwrap_or(WatchdogTrip::Deadline));
+    }
+    let netlist = rec.scope("sweep", |_| netlist.sweep());
+    rec.finish(outer);
+    Ok(Finished::measure(netlist, lib, rec))
+}
+
+/// Iterative critical-path sizing and buffering in place, until the
+/// target delay is met or no move improves the worst path.
+///
+/// `nl` must be a finished netlist ([`finish`]): the optimizer neither
+/// folds constants nor sweeps dead gates, so a netlist that already meets
+/// its target comes back unchanged.
 pub fn optimize(nl: &mut Netlist, lib: &Library, config: &OptConfig) -> OptReport {
     let start = Instant::now();
     let start_delay_ns = nl.longest_path(lib).delay_ns;
     let start_area = nl.area(lib);
-    let gates_before = nl.num_gates();
-
-    fold_constants(nl);
-    *nl = nl.sweep();
-    let gates_folded = gates_before.saturating_sub(nl.num_gates());
 
     let mut iterations = 0;
     let mut gates_sized = 0;
@@ -219,7 +279,6 @@ pub fn optimize(nl: &mut Netlist, lib: &Library, config: &OptConfig) -> OptRepor
         met: end_delay_ns <= config.target_delay_ns,
         gates_sized,
         buffers_inserted,
-        gates_folded,
     }
 }
 
@@ -757,6 +816,55 @@ mod tests {
                 assert_eq!(n.simulate(&i).unwrap(), reference.simulate(&i).unwrap());
             }
         }
+    }
+
+    /// A finished netlist that already meets its target comes out of
+    /// `optimize` byte for byte as it went in: nothing is folded or swept
+    /// a second time.
+    #[test]
+    fn optimize_leaves_a_finished_netlist_at_target_unchanged() {
+        use dp_dfg::gen::{random_dfg, GenConfig};
+        use dp_synth::{run_flow_guarded, FlowBudget, MergeStrategy, SynthConfig};
+        use rand::{rngs::StdRng, SeedableRng};
+        let lib = lib();
+        let mut rng = StdRng::seed_from_u64(0x0F1E);
+        for case in 0..4 {
+            let g = random_dfg(&mut rng, &GenConfig { num_ops: 12, ..GenConfig::default() });
+            let budget = FlowBudget::default();
+            let flow = run_flow_guarded(&g, MergeStrategy::New, &SynthConfig::default(), &budget)
+                .expect("synthesizes")
+                .flow;
+            let done = finish(flow.netlist, &lib, &mut Recorder::disabled(), &Watchdog::disabled())
+                .expect("an unarmed watchdog never trips");
+            let mut nl = done.netlist.clone();
+            let met = OptConfig { target_delay_ns: done.delay_ns, ..OptConfig::default() };
+            let report = optimize(&mut nl, &lib, &met);
+            assert!(report.met && report.iterations == 0, "case {case}: {report:?}");
+            assert!(nl.to_bytes() == done.netlist.to_bytes(), "case {case}: optimize changed it");
+        }
+    }
+
+    #[test]
+    fn finish_records_the_post_flow_spans_and_stops_on_a_trip() {
+        let base = random_netlist(0x5EED, 60);
+        let mut rec = Recorder::new();
+        let done = finish(base.clone(), &lib(), &mut rec, &Watchdog::disabled()).expect("unarmed");
+        let names: Vec<(&str, usize)> =
+            rec.records().iter().map(|r| (r.name(), r.depth())).collect();
+        assert_eq!(
+            names,
+            [("fold_sweep", 0), ("fold_constants", 1), ("sweep", 1), ("sta", 0)],
+            "the span names `dpmc bench` and `dpmc profile` report"
+        );
+        let mut m = FlowMetrics::default();
+        done.fill(&mut m);
+        assert_eq!(m.gates, done.netlist.num_gates());
+        assert_eq!((m.delay_ns, m.area), (done.delay_ns, done.area));
+        assert_eq!(done.delay_ns, done.netlist.longest_path(&lib()).delay_ns);
+
+        let wd = Watchdog::new(Some(Instant::now()), None);
+        let trip = finish(base, &lib(), &mut Recorder::new(), &wd).expect_err("expired deadline");
+        assert_eq!(trip, WatchdogTrip::Deadline);
     }
 
     #[test]

@@ -10,17 +10,18 @@
 //! answered from cache. The artifact store is probed outer-to-inner:
 //!
 //! 1. **netlist** (`{hash}-{strategy}-{config}`): decode the stored wire
-//!    bytes, differentially audit against the *request's* design, run a
-//!    fresh STA pass;
+//!    bytes, differentially audit against the *request's* design, time
+//!    the stored final netlist ([`Finished::measure`]);
 //! 2. **cluster** (`{hash}-{strategy}`): decode graph + clustering,
-//!    re-synthesize under the request watchdog, fold and sweep, audit,
+//!    re-synthesize under the request watchdog, [`finish`], audit,
 //!    backfill the netlist entry;
-//! 3. **miss**: the full guarded flow ([`run_flow_guarded`]), then fold
-//!    and sweep.
+//! 3. **miss**: the full guarded flow ([`run_flow_guarded`]), then
+//!    [`finish`].
 //!
-//! The netlist measured and stored is always the final one (constants
-//! folded, dead gates swept), so a served QoR equals what `dpmc run`
-//! reports for the same design and configuration.
+//! The netlist measured and stored is always the final one that
+//! [`finish`] returns (constants folded, dead gates swept), so a served
+//! QoR equals what `dpmc run` reports for the same design and
+//! configuration.
 //!
 //! Every audit is a [`dp_synth::Equiv`] built from the request's design.
 //!
@@ -46,12 +47,12 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use dp_dfg::{canonical_form, decode_canonical, encode_canonical, Dfg};
-use dp_metrics::{Json, Recorder, Watchdog};
+use dp_metrics::{Json, Recorder, WatchdogTrip};
 use dp_netlist::{Library, Netlist};
-use dp_opt::fold_constants_watched;
+use dp_opt::{finish, Finished};
 use dp_synth::{
-    run_flow_guarded, synthesize_watched, AdderKind, Equiv, FlowBudget, MergeStrategy, Mismatch,
-    ReductionKind, SynthConfig, SynthError,
+    run_flow_guarded, synthesize_watched, AdderKind, CsaStats, Equiv, FlowBudget, MergeStrategy,
+    Mismatch, ReductionKind, SynthConfig, SynthError,
 };
 use dp_testcases::named_design;
 
@@ -226,6 +227,8 @@ struct Reply {
 /// request batches via [`Service::serve_lines`] or [`Service::serve_tcp`].
 pub struct Service {
     opts: ServeOptions,
+    /// The measuring library every answer is timed under.
+    lib: Library,
     store: Option<Mutex<Store>>,
     parser: Option<Box<SourceParser>>,
     /// Chaos hook: the next N handler attempts panic on entry (see
@@ -236,7 +239,13 @@ pub struct Service {
 impl Service {
     /// A service with no store and no inline-source parser.
     pub fn new(opts: ServeOptions) -> Service {
-        Service { opts, store: None, parser: None, chaos_panics: AtomicU32::new(0) }
+        Service {
+            opts,
+            lib: Library::synthetic_025um(),
+            store: None,
+            parser: None,
+            chaos_panics: AtomicU32::new(0),
+        }
     }
 
     /// Attaches the artifact store (cache on).
@@ -477,7 +486,7 @@ impl Service {
     }
 
     /// Level 1: a stored netlist. Decode, audit against the request's
-    /// design, fresh STA. Any defect quarantines and falls through.
+    /// design, time it. Any defect quarantines and falls through.
     fn try_netlist_hit(
         &self,
         keys: &Keys,
@@ -501,15 +510,8 @@ impl Service {
             self.store_quarantine(ArtifactKind::Netlist, &keys.netlist, &netlist_defect(m));
             return Ok(None);
         }
-        Ok(Some(measure(
-            keys.strategy,
-            &nl,
-            clusters,
-            csa.cpa_count,
-            csa.csa_depth,
-            CacheLevel::Netlist,
-            hash,
-        )))
+        let done = Finished::measure(nl, &self.lib, &mut Recorder::disabled());
+        Ok(Some(answer(keys.strategy, &done, clusters, csa, CacheLevel::Netlist, hash)))
     }
 
     /// Level 2: a stored clustering. Decode graph + clustering,
@@ -540,25 +542,18 @@ impl Service {
         let wd = budget.watchdog();
         match synthesize_watched(&graph, &clustering, &req.config, &mut Recorder::disabled(), &wd) {
             Ok((nl, csa)) => {
-                let nl = finish_netlist(nl, &wd)?;
-                if let Some(m) = oracle.netlist_mismatch(&nl) {
+                let done = finish(nl, &self.lib, &mut Recorder::disabled(), &wd)?;
+                if let Some(m) = oracle.netlist_mismatch(&done.netlist) {
                     self.store_quarantine(ArtifactKind::Cluster, &keys.cluster, &netlist_defect(m));
                     return Ok(None);
                 }
                 self.store_put(
                     ArtifactKind::Netlist,
                     &keys.netlist,
-                    &encode_netlist_artifact(clustering.len(), csa, &nl.to_bytes()),
+                    &encode_netlist_artifact(clustering.len(), csa, &done.netlist.to_bytes()),
                 );
-                Ok(Some(measure(
-                    keys.strategy,
-                    &nl,
-                    clustering.len(),
-                    csa.cpa_count,
-                    csa.csa_depth,
-                    CacheLevel::Cluster,
-                    hash,
-                )))
+                let level = CacheLevel::Cluster;
+                Ok(Some(answer(keys.strategy, &done, clustering.len(), csa, level, hash)))
             }
             Err(SynthError::Budget(limit)) => Err(Failure::Budget(limit)),
             Err(e) => {
@@ -585,7 +580,8 @@ impl Service {
             })?;
         let degraded = guarded.degradation.as_ref().map(|d| d.tags()).unwrap_or_default();
         let flow = guarded.flow;
-        let netlist = finish_netlist(flow.netlist, &budget.watchdog())?;
+        let done = finish(flow.netlist, &self.lib, &mut Recorder::disabled(), &budget.watchdog())?;
+        let csa = CsaStats { csa_depth: flow.metrics.csa_depth, cpa_count: flow.metrics.cpa_count };
         if level == CacheLevel::Miss && degraded.is_empty() {
             let keys = Keys::new(hash, req.strategy, &req.config);
             // Cluster artifacts are stored in the transformed graph's own
@@ -603,25 +599,10 @@ impl Service {
             self.store_put(
                 ArtifactKind::Netlist,
                 &keys.netlist,
-                &encode_netlist_artifact(
-                    flow.metrics.clusters,
-                    dp_synth::CsaStats {
-                        csa_depth: flow.metrics.csa_depth,
-                        cpa_count: flow.metrics.cpa_count,
-                    },
-                    &netlist.to_bytes(),
-                ),
+                &encode_netlist_artifact(flow.metrics.clusters, csa, &done.netlist.to_bytes()),
             );
         }
-        let mut success = measure(
-            req.strategy,
-            &netlist,
-            flow.metrics.clusters,
-            flow.metrics.cpa_count,
-            flow.metrics.csa_depth,
-            level,
-            hash,
-        );
+        let mut success = answer(req.strategy, &done, flow.metrics.clusters, csa, level, hash);
         success.degraded = degraded;
         Ok(success)
     }
@@ -687,37 +668,30 @@ fn elapsed_us(started: Instant) -> u64 {
     u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
-/// The final netlist of a synthesized one: constants folded, dead gates
-/// swept, as `dpmc run` and `dpmc bench` report it. Serve measures and
-/// stores this netlist, so its QoR is theirs. The fold polls `wd`.
-fn finish_netlist(mut nl: Netlist, wd: &Watchdog) -> Result<Netlist, Failure> {
-    if !fold_constants_watched(&mut nl, wd) {
-        let limit = wd.trip().map_or_else(|| "supervision".to_string(), |t| t.to_string());
-        return Err(Failure::Budget(limit));
+/// A supervision limit that fired during [`finish`].
+impl From<WatchdogTrip> for Failure {
+    fn from(trip: WatchdogTrip) -> Failure {
+        Failure::Budget(trip.to_string())
     }
-    Ok(nl.sweep())
 }
 
-/// STA + counters for a finished netlist, under the measuring library the
-/// whole workspace reports with.
-fn measure(
+/// The answer for a final netlist and its flow counters.
+fn answer(
     strategy: MergeStrategy,
-    nl: &Netlist,
+    done: &Finished,
     clusters: usize,
-    cpa_count: usize,
-    csa_depth: usize,
+    csa: CsaStats,
     cache: CacheLevel,
     hash: &str,
 ) -> Success {
-    let lib = Library::synthetic_025um();
     Success {
         strategy: strategy.to_string(),
-        gates: nl.num_gates(),
+        gates: done.netlist.num_gates(),
         clusters,
-        cpa_count,
-        csa_depth,
-        delay_ns: nl.longest_path(&lib).delay_ns,
-        area: nl.area(&lib),
+        cpa_count: csa.cpa_count,
+        csa_depth: csa.csa_depth,
+        delay_ns: done.delay_ns,
+        area: done.area,
         degraded: Vec::new(),
         cache,
         hash: hash.to_string(),

@@ -8,7 +8,7 @@ use dp_bitvec::Signedness;
 use dp_dfg::{Dfg, NodeKind, ValidateErrors};
 use dp_merge::{linearize_cluster, ClusterError, Clustering, LinearizeError, MergeReport};
 use dp_metrics::{FlowMetrics, Recorder, Watchdog};
-use dp_netlist::{Library, NetId, Netlist};
+use dp_netlist::{NetId, Netlist};
 use dp_trace::TraceLog;
 
 use crate::cluster::synthesize_sum_with;
@@ -249,41 +249,10 @@ pub struct FlowResult {
     /// The merge report, present only for [`MergeStrategy::New`] — the
     /// other strategies run no width pipeline.
     pub merge: Option<MergeReport>,
-    /// Quality-of-results counters gathered during the flow. Delay and
-    /// area are zero until filled in by [`FlowResult::qor`], which needs
-    /// a cell library.
+    /// Quality-of-results counters gathered during the flow. Gates count
+    /// the emitted netlist, and delay and area are zero: `dp_opt::finish`
+    /// measures the final netlist and fills all three.
     pub metrics: FlowMetrics,
-}
-
-impl FlowResult {
-    /// Returns the flow's [`FlowMetrics`] with the library-dependent
-    /// fields (critical-path delay and area estimate) filled in from a
-    /// static timing pass over the netlist.
-    pub fn qor(&self, lib: &Library) -> FlowMetrics {
-        let mut m = self.metrics.clone();
-        m.delay_ns = self.netlist.longest_path(lib).delay_ns;
-        m.area = self.netlist.area(lib);
-        m
-    }
-}
-
-#[cfg(feature = "verify")]
-impl FlowResult {
-    /// Audits this flow's graph, clustering and netlist with the
-    /// [`dp_verify`] checker passes. Strict (fixpoint-assuming) checks are
-    /// armed only for [`MergeStrategy::New`], the one strategy that runs
-    /// the width-optimization pipeline. Pass the pre-flow graph as
-    /// `baseline` to also arm the width-floor audit (`R002`).
-    pub fn verify(&self, baseline: Option<&Dfg>) -> dp_verify::VerifyReport {
-        let mut cx = dp_verify::Context::new(&self.graph)
-            .clustering(&self.clustering)
-            .netlist(&self.netlist)
-            .optimized(matches!(self.strategy, MergeStrategy::New));
-        if let Some(base) = baseline {
-            cx = cx.baseline(base);
-        }
-        dp_verify::verify(&cx)
-    }
 }
 
 impl FlowResult {
@@ -441,7 +410,6 @@ mod tests {
         assert_eq!(out[0].to_u64(), Some(35));
     }
 
-    #[cfg(feature = "verify")]
     #[test]
     fn flow_results_verify_clean() {
         let mut rng = StdRng::seed_from_u64(0xF12);
@@ -449,7 +417,12 @@ mod tests {
             let g = random_dfg(&mut rng, &GenConfig { num_ops: 8, ..GenConfig::default() });
             for strategy in [MergeStrategy::None, MergeStrategy::Old, MergeStrategy::New] {
                 let flow = healthy_flow(&g, strategy, &SynthConfig::default()).unwrap();
-                let report = flow.verify(Some(&g));
+                let cx = dp_verify::Context::new(&flow.graph)
+                    .baseline(&g)
+                    .clustering(&flow.clustering)
+                    .netlist(&flow.netlist)
+                    .optimized(strategy == MergeStrategy::New);
+                let report = dp_verify::verify(&cx);
                 assert!(
                     !report.has_errors(),
                     "case {case} {strategy}:\n{}",

@@ -9,10 +9,10 @@
 //!
 //! 1. **Widths** — the budgeted pipeline
 //!    ([`optimize_widths_budgeted_with`]) must finish within budget, keep
-//!    the graph structurally valid, pass the `dp_verify` RP/IC audits
-//!    (with the `verify` feature), and stay functionally equivalent to the
-//!    input design under differential evaluation. On failure the flow
-//!    rolls back to the provably-legal **Theorem 4.2 widths only**
+//!    the graph structurally valid, pass the `dp_verify` RP/IC audits,
+//!    and stay functionally equivalent to the input design under
+//!    differential evaluation. On failure the flow rolls back to the
+//!    provably-legal **Theorem 4.2 widths only**
 //!    ([`optimize_widths_rp_only_with`]), and to the untransformed design
 //!    if even those fail.
 //! 2. **Clustering** — must pass [`Clustering::validate`] and the
@@ -503,40 +503,27 @@ fn audit_widths(
     if let Err(e) = graph.validate() {
         return Some(format!("transformed graph invalid: {e}"));
     }
-    #[cfg(feature = "verify")]
-    {
-        let cx = dp_verify::Context::new(graph)
-            .baseline(base)
-            .transform(transform)
-            .optimized(at_fixpoint);
-        let diags = dp_verify::Verifier::default().run(&cx);
-        if diags.has_errors() {
-            return Some(format!("verifier rejected widths: {}", first_error(&diags, graph)));
-        }
+    let cx =
+        dp_verify::Context::new(graph).baseline(base).transform(transform).optimized(at_fixpoint);
+    let diags = dp_verify::Verifier::default().run(&cx);
+    if diags.has_errors() {
+        return Some(format!("verifier rejected widths: {}", first_error(&diags, graph)));
     }
-    #[cfg(not(feature = "verify"))]
-    let _ = at_fixpoint;
     oracle.graph_mismatch(graph).map(|m| m.describe("transformed graph", base))
 }
 
-/// Audits a clustering for structural fit and (with the `verify` feature)
-/// break-node legality.
+/// Audits a clustering for structural fit and break-node legality.
 fn audit_clustering(graph: &Dfg, clustering: &Clustering, at_fixpoint: bool) -> Option<String> {
     if let Err(e) = clustering.validate(graph) {
         return Some(format!("clustering invalid: {e}"));
     }
-    #[cfg(feature = "verify")]
-    {
-        let cx = dp_verify::Context::new(graph).clustering(clustering).optimized(at_fixpoint);
-        let mut v = dp_verify::Verifier::new();
-        v.register(Box::new(dp_verify::ClusterLegality));
-        let diags = v.run(&cx);
-        if diags.has_errors() {
-            return Some(format!("verifier rejected clustering: {}", first_error(&diags, graph)));
-        }
+    let cx = dp_verify::Context::new(graph).clustering(clustering).optimized(at_fixpoint);
+    let mut v = dp_verify::Verifier::new();
+    v.register(Box::new(dp_verify::ClusterLegality));
+    let diags = v.run(&cx);
+    if diags.has_errors() {
+        return Some(format!("verifier rejected clustering: {}", first_error(&diags, graph)));
     }
-    #[cfg(not(feature = "verify"))]
-    let _ = at_fixpoint;
     None
 }
 
@@ -547,7 +534,6 @@ fn supervision_limit(wd: &Watchdog) -> String {
 
 /// Renders the worst diagnostic of a verify report (reports are sorted
 /// worst-first, so the first entry is an error whenever any exists).
-#[cfg(feature = "verify")]
 fn first_error(diags: &dp_verify::VerifyReport, g: &Dfg) -> String {
     diags.diagnostics().first().map_or_else(|| "unknown".to_string(), |d| d.render(g))
 }

@@ -17,13 +17,15 @@ use rand::SeedableRng;
 
 /// `(emitted, final)` gate counts of one flow.
 fn gates(g: &Dfg, strategy: MergeStrategy, config: &SynthConfig) -> (usize, usize) {
-    let mut nl = run_flow_guarded(g, strategy, config, &FlowBudget::default())
+    let nl = run_flow_guarded(g, strategy, config, &FlowBudget::default())
         .expect("guarded flow")
         .flow
         .netlist;
     let emitted = nl.num_gates();
-    datapath_merge::opt::fold_constants(&mut nl);
-    (emitted, nl.sweep().num_gates())
+    let lib = Library::synthetic_025um();
+    let done = finish(nl, &lib, &mut Recorder::disabled(), &Watchdog::disabled())
+        .expect("an unarmed watchdog never trips");
+    (emitted, done.netlist.num_gates())
 }
 
 const STRATEGIES: [MergeStrategy; 3] =

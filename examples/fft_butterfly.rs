@@ -18,13 +18,14 @@ fn main() {
         let flow = run_flow_guarded(&g, strategy, &config, &FlowBudget::default())
             .expect("synthesis")
             .flow;
-        let t = flow.netlist.longest_path(&lib);
+        let done = finish(flow.netlist, &lib, &mut Recorder::disabled(), &Watchdog::disabled())
+            .expect("an unarmed watchdog never trips");
         println!(
             "{:<10} clusters {:>2}  delay {:>7.3} ns  area {:>8.1}  histogram {:?}",
             strategy.to_string(),
             flow.clustering.len(),
-            t.delay_ns,
-            flow.netlist.area(&lib),
+            done.delay_ns,
+            done.area,
             flow.clustering.size_histogram()
         );
     }

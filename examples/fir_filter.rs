@@ -33,18 +33,16 @@ fn main() {
         let flow = run_flow_guarded(&g, strategy, &config, &FlowBudget::default())
             .expect("synthesis")
             .flow;
-        let mut nl = flow.netlist;
-        datapath_merge::opt::fold_constants(&mut nl);
-        let nl = nl.sweep();
-        let t = nl.longest_path(&lib);
+        let done = finish(flow.netlist, &lib, &mut Recorder::disabled(), &Watchdog::disabled())
+            .expect("an unarmed watchdog never trips");
         println!(
             "{:<10} clusters {:>3}  delay {:>7.3} ns  area {:>8.1}",
             strategy.to_string(),
             flow.clustering.len(),
-            t.delay_ns,
-            nl.area(&lib)
+            done.delay_ns,
+            done.area
         );
-        results.push((strategy, nl, t.delay_ns));
+        results.push((strategy, done.netlist, done.delay_ns));
     }
 
     // Push both merged netlists to the best flow's delay minus 10 %.

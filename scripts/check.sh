@@ -9,12 +9,8 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test -q --workspace
 
-echo "==> cargo test (verify features)"
-cargo test -q -p dp-synth --features verify
-cargo test -q -p dp-analysis --features verify
-
 echo "==> cargo test (fault-inject features)"
-cargo test -q -p dp-synth --features verify,fault-inject
+cargo test -q -p dp-synth --features fault-inject
 cargo test -q -p dp-fault
 
 echo "==> cargo doc (rustdoc warnings are errors)"
@@ -183,6 +179,23 @@ if [ "$expects" -gt "$EXPECT_BUDGET" ]; then
   exit 1
 fi
 echo "unwrap lint: OK (0 bare unwraps, $expects/$EXPECT_BUDGET expects)"
+
+echo "==> finish lint (one module decides what the final netlist is)"
+# Constant folding and the dead-gate sweep run only inside dp_opt::finish:
+# outside dp-opt and dp-netlist, non-test code of src/, the crates and the
+# examples calls neither fold_constants(_watched) nor .sweep().
+finish_calls=0
+for f in $(find src crates/*/src examples -name '*.rs' | grep -v -e '^crates/opt/src/' -e '^crates/netlist/src/'); do
+  c=$(awk '/#\[cfg\(test\)\]/{exit} {t=$0; sub(/^[ \t]+/,"",t)} t ~ /^\/\// {next} \
+       /fold_constants(_watched)?([^_A-Za-z0-9]|$)|\.sweep\(\)/ {c++} END{print c+0}' "$f")
+  if [ "$c" -gt 0 ]; then echo "  $f: $c fold/sweep call(s) outside dp_opt::finish"; fi
+  finish_calls=$((finish_calls + c))
+done
+if [ "$finish_calls" -gt 0 ]; then
+  echo "finish lint: FAIL ($finish_calls fold/sweep call(s); call dp_opt::finish instead)"
+  exit 1
+fi
+echo "finish lint: OK"
 
 echo "==> panic lint (non-test code of src/ and all crates)"
 # Bare panic!/unreachable! and slice-indexing unwraps (.get(..).unwrap(),

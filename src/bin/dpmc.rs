@@ -679,22 +679,21 @@ fn flow_budget(args: &Args) -> FlowBudget {
     b
 }
 
-/// `dpmc lint`: run the new-merge flow, then audit every produced
-/// artifact with the semantic verifier. Returns `Ok(false)` when the
-/// design fails the lint gate.
+/// `dpmc lint`: run the guarded new-merge flow and its post-flow stage,
+/// then audit every artifact the flow settled on — a degraded flow's
+/// fallback included — with the semantic verifier. Returns `Ok(false)`
+/// when the design fails the lint gate.
 fn run_lint(args: &Args) -> Result<bool, FlowError> {
     let base = load_design(&args.file)?;
-    let mut g = base.clone();
-    let (clustering, merge_report) = cluster_max(&mut g);
-    let netlist = synthesize(&g, &clustering, &args.config)?.sweep();
-
-    let cx = Context::new(&g)
-        .baseline(&base)
-        .clustering(&clustering)
-        .netlist(&netlist)
-        .transform(&merge_report.transform)
-        .optimized(true);
-    let report = Verifier::default().run(&cx);
+    let lib = Library::synthetic_025um();
+    let (mut rec, mut tr) = (Recorder::disabled(), TraceLog::disabled());
+    let budget = flow_budget(args);
+    let guarded =
+        run_flow_guarded_with(&base, MergeStrategy::New, &args.config, &budget, &mut rec, &mut tr)?;
+    let (_, report) = driver::finish_flow(&base, &guarded, &lib, &mut rec)?;
+    let g = &guarded.flow.graph;
+    let pipeline = guarded.flow.merge.as_ref().map(|m| m.transform.summary()).unwrap_or_default();
+    let fallbacks = guarded.degradation.as_ref().map(|d| d.tags()).unwrap_or_default();
 
     let denied = report.has_errors() || (args.deny_warnings && report.count(Severity::Warn) > 0);
     if args.json {
@@ -712,7 +711,8 @@ fn run_lint(args: &Args) -> Result<bool, FlowError> {
         let doc = Json::obj()
             .field("schema", "dpmc-lint/1")
             .field("design", args.file.as_str())
-            .field("pipeline", merge_report.transform.summary())
+            .field("pipeline", pipeline)
+            .field("fallbacks", fallbacks.into_iter().map(Json::from).collect::<Vec<_>>())
             .field("diagnostics", diags)
             .field("errors", report.count(Severity::Error))
             .field("warnings", report.count(Severity::Warn))
@@ -721,9 +721,12 @@ fn run_lint(args: &Args) -> Result<bool, FlowError> {
         println!("{}", doc.render_pretty());
         return Ok(!denied);
     }
-    print!("{}", report.render(&g));
+    if let Some(d) = &guarded.degradation {
+        print!("[{}] {}", MergeStrategy::New, d.render());
+    }
+    print!("{}", report.render(g));
     println!("{}: {}", args.file, report.summary());
-    println!("{}: width pipeline {}", args.file, merge_report.transform.summary());
+    println!("{}: width pipeline {pipeline}", args.file);
     Ok(!denied)
 }
 
@@ -1412,8 +1415,12 @@ fn run(args: &Args) -> Result<(), FlowError> {
             print!("[{strategy}] {}", report.render());
         }
         let flow = guarded.flow;
+        let done = finish(flow.netlist, &lib, &mut rec, &Watchdog::disabled())
+            .map_err(|trip| FlowError::Analysis(trip.to_string()))?;
         if args.events.is_some() {
-            let metrics = flow.metrics.to_json();
+            let mut metrics = flow.metrics.clone();
+            done.fill(&mut metrics);
+            let metrics = metrics.to_json();
             driver::push_flow_events(
                 &mut stream,
                 driver::FlowSources {
@@ -1427,10 +1434,6 @@ fn run(args: &Args) -> Result<(), FlowError> {
                 args.telemetry,
             );
         }
-        let mut netlist = flow.netlist;
-        datapath_merge::opt::fold_constants(&mut netlist);
-        let mut netlist = netlist.sweep();
-        let timing = netlist.longest_path(&lib);
         println!(
             "\n[{strategy}] clusters: {}  (sizes {:?})",
             flow.clustering.len(),
@@ -1438,10 +1441,11 @@ fn run(args: &Args) -> Result<(), FlowError> {
         );
         println!(
             "[{strategy}] delay {:.3} ns  area {:.1}  gates {}",
-            timing.delay_ns,
-            netlist.area(&lib),
-            netlist.num_gates()
+            done.delay_ns,
+            done.area,
+            done.netlist.num_gates()
         );
+        let mut netlist = done.netlist;
         let path = netlist.critical_path(&lib);
         if !path.is_empty() {
             let cells: Vec<String> = path

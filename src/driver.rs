@@ -1,9 +1,10 @@
-//! Shared flow-driving machinery behind `dpmc bench` and `dpmc profile`:
-//! the per-design bench building block, the self-profile runner, and the
-//! telemetry-overhead measurement that gates the observability layer's
-//! cost. All three run the guarded flow ([`run_flow_guarded_with`] at
-//! [`FlowBudget::default`]) — the same driver as `dpmc run` and `dpmc
-//! serve` — followed by the absint layer and one shared post-flow stage.
+//! Shared flow-driving machinery behind `dpmc bench`, `dpmc profile` and
+//! `dpmc lint`: the per-design bench building block, the self-profile
+//! runner, the post-flow stage ([`finish_flow`]: `dp_opt::finish`, then
+//! the dp-verify audit), and the telemetry-overhead measurement that gates
+//! the observability layer's cost. All of them run the guarded flow
+//! ([`run_flow_guarded_with`]) — the same driver as `dpmc run` and `dpmc
+//! serve` — and bench and profile add the absint layer.
 //! Designs are farmed out on the service's slot-ordered worker pool
 //! ([`dp_serve::pool::run_slots`]).
 //!
@@ -124,45 +125,36 @@ fn run_reported(
     Ok(guarded)
 }
 
-/// What the post-flow stages make of a flow: the final netlist, its
-/// timing and area, and the semantic audit of the final artifacts.
-struct Finished {
-    netlist: Netlist,
-    delay_ns: f64,
-    area: f64,
-    report: VerifyReport,
-}
-
-/// The stages after the flow, each under its own top-level span:
-/// constant folding and dead-gate sweep (`fold_sweep`), static timing and
-/// area (`sta`), and the dp-verify audit against the input design `g`.
-/// As in the guard's own audits, the strict post-fixpoint checks are
-/// armed only for a new-merge flow that did not degrade.
-fn finish_flow(g: &Dfg, guarded: &GuardedFlow, lib: &Library, rec: &mut Recorder) -> Finished {
+/// The stages after the flow: [`finish`] (constant folding and the
+/// dead-gate sweep under `fold_sweep`, static timing and area under
+/// `sta`), then the dp-verify audit of the final artifacts against the
+/// input design `g`. As in the guard's own audits, the strict
+/// post-fixpoint checks are armed only for a new-merge flow that did not
+/// degrade. `dpmc bench`, `dpmc profile` and `dpmc lint` run it.
+///
+/// # Errors
+///
+/// None in practice: the finish runs unwatched, and a trip would surface
+/// as [`SynthError::Budget`].
+pub fn finish_flow(
+    g: &Dfg,
+    guarded: &GuardedFlow,
+    lib: &Library,
+    rec: &mut Recorder,
+) -> Result<(Finished, VerifyReport), SynthError> {
     let flow = &guarded.flow;
-    let mut netlist = flow.netlist.clone();
-    let outer = rec.span("fold_sweep");
-    let fold = rec.span("fold_constants");
-    crate::opt::fold_constants(&mut netlist);
-    rec.finish(fold);
-    let sweep = rec.span("sweep");
-    let netlist = netlist.sweep();
-    rec.finish(sweep);
-    rec.finish(outer);
-    let sta = rec.span("sta");
-    let delay_ns = netlist.longest_path(lib).delay_ns;
-    let area = netlist.area(lib);
-    rec.finish(sta);
+    let done = finish(flow.netlist.clone(), lib, rec, &Watchdog::disabled())
+        .map_err(|trip| SynthError::Budget(trip.to_string()))?;
     let mut cx = Context::new(&flow.graph)
         .baseline(g)
         .clustering(&flow.clustering)
-        .netlist(&netlist)
+        .netlist(&done.netlist)
         .optimized(flow.strategy == MergeStrategy::New && guarded.degradation.is_none());
     if let Some(m) = &flow.merge {
         cx = cx.transform(&m.transform);
     }
     let report = Verifier::default().run_with(&cx, rec);
-    Finished { netlist, delay_ns, area, report }
+    Ok((done, report))
 }
 
 /// Benchmarks one design through both flows; the building block the
@@ -187,19 +179,18 @@ pub fn bench_design(
     for strategy in [MergeStrategy::Old, MergeStrategy::New] {
         let mut rec = Recorder::new();
         let mut tr = TraceLog::new();
-        let guarded =
-            run_reported(&format!("{name} [{strategy}]"), g, strategy, config, &mut rec, &mut tr)?;
-        let done = finish_flow(g, &guarded, lib, &mut rec);
+        let prefix = format!("{name} [{strategy}]");
+        let guarded = run_reported(&prefix, g, strategy, config, &mut rec, &mut tr)?;
+        let (done, report) =
+            finish_flow(g, &guarded, lib, &mut rec).map_err(|e| classify_flow(&prefix, e))?;
         let flow = &guarded.flow;
 
         // QoR on the final (folded + swept) netlist, not the raw one.
         let mut metrics = flow.metrics.clone();
-        metrics.gates = done.netlist.num_gates();
-        metrics.delay_ns = done.delay_ns;
-        metrics.area = done.area;
-        metrics.verify_errors = done.report.count(Severity::Error);
-        metrics.verify_warnings = done.report.count(Severity::Warn);
-        metrics.verify_infos = done.report.count(Severity::Info);
+        done.fill(&mut metrics);
+        metrics.verify_errors = report.count(Severity::Error);
+        metrics.verify_warnings = report.count(Severity::Warn);
+        metrics.verify_infos = report.count(Severity::Info);
         let metrics_json = metrics.to_json();
 
         let mut row = Json::obj()
@@ -237,7 +228,7 @@ pub fn profile_design(
     let mut rec = Recorder::new();
     let mut tr = TraceLog::new();
     let guarded = run_reported(name, g, MergeStrategy::New, config, &mut rec, &mut tr)?;
-    finish_flow(g, &guarded, lib, &mut rec);
+    finish_flow(g, &guarded, lib, &mut rec).map_err(|e| classify_flow(name, e))?;
     let kinds = guarded.flow.merge.as_ref().map(|m| m.transform.kind_counts()).unwrap_or_default();
     Ok(Profile::build(&rec, &kinds))
 }
@@ -444,7 +435,7 @@ mod tests {
         let mut tr = TraceLog::new();
         let guarded =
             run_reported("seed1072", &g, MergeStrategy::New, &config, &mut rec, &mut tr).unwrap();
-        let done = finish_flow(&g, &guarded, &lib, &mut rec);
+        let (done, _) = finish_flow(&g, &guarded, &lib, &mut rec).unwrap();
         let oracle = Equiv::new(&g, 0x5EED, 256).expect("the design evaluates");
         assert_eq!(oracle.netlist_mismatch(&done.netlist), None);
     }

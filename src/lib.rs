@@ -65,9 +65,12 @@
 //! assert!(guarded.degradation.is_none());
 //! assert_eq!(guarded.flow.clustering.len(), 1);
 //!
+//! // The one post-flow stage: fold constants, sweep dead gates, time the
+//! // final netlist. Every QoR figure is measured on what it returns.
 //! let lib = Library::synthetic_025um();
-//! let netlist = &guarded.flow.netlist;
-//! println!("delay {:.2} ns, area {:.1}", netlist.longest_path(&lib).delay_ns, netlist.area(&lib));
+//! let done = finish(guarded.flow.netlist, &lib, &mut Recorder::disabled(), &Watchdog::disabled())
+//!     .expect("an unarmed watchdog never trips");
+//! println!("delay {:.2} ns, area {:.1}", done.delay_ns, done.area);
 //! # Ok::<(), dp_synth::SynthError>(())
 //! ```
 
@@ -108,9 +111,9 @@ pub mod prelude {
     pub use dp_merge::{
         cluster_leakage, cluster_max, cluster_none, linearize_cluster, Cluster, Clustering,
     };
-    pub use dp_metrics::{FlowMetrics, Json, Level, Recorder};
+    pub use dp_metrics::{FlowMetrics, Json, Level, Recorder, Watchdog};
     pub use dp_netlist::{CellKind, Drive, Library, Netlist};
-    pub use dp_opt::{optimize, OptConfig};
+    pub use dp_opt::{finish, optimize, Finished, OptConfig};
     pub use dp_synth::{
         run_flow_guarded, run_flow_guarded_with, synthesize, AdderKind, DegradationReport, Equiv,
         FlowBudget, FlowResult, GuardedFlow, MergeStrategy, Mismatch, ReductionKind, SynthConfig,

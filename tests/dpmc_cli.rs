@@ -498,3 +498,38 @@ fn lint_json_reports_diagnostics_machine_readably() {
     assert!(text.contains("\"errors\": 0"), "{text}");
     assert!(text.contains("\"passed\": true"), "{text}");
 }
+
+/// `dpmc lint` lints what the guarded flow settled on: on the seed-1072
+/// repro, whose merged clustering the guard rejects, it reports the
+/// singleton fallback and audits that (correct) netlist, as `dpmc run`
+/// answers with it.
+#[test]
+fn lint_audits_the_guards_fallback() {
+    use datapath_merge::dfg::gen::{random_dfg, GenConfig};
+    use rand::{rngs::StdRng, SeedableRng};
+    let cfg = GenConfig {
+        num_ops: 40,
+        num_inputs: 6,
+        max_width: 48,
+        mul_weight: 0.15,
+        ..GenConfig::default()
+    };
+    let g = random_dfg(&mut StdRng::seed_from_u64(1072), &cfg);
+    let f = std::env::temp_dir().join(format!("dpmc_lint_seed1072_{}.dp", std::process::id()));
+    std::fs::write(&f, datapath_merge::dsl::to_dsl(&g)).expect("write temp");
+    let path = f.to_str().expect("utf8");
+
+    let out = dpmc().args(["lint", path]).output().expect("dpmc runs");
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{text}{}", String::from_utf8_lossy(&out.stderr));
+    assert!(text.contains("-> FALLBACK-SINGLETON"), "{text}");
+    assert!(text.contains("0 error(s)"), "{text}");
+
+    let out = dpmc().args(["lint", path, "--json"]).output().expect("dpmc runs");
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("\"FALLBACK-SINGLETON\""), "{text}");
+    let run = dpmc().args([path, "--flow", "new", "--check", "256"]).output().expect("dpmc runs");
+    let ran = String::from_utf8_lossy(&run.stdout);
+    assert!(run.status.success() && ran.contains("FALLBACK-SINGLETON"), "{ran}");
+    let _ = std::fs::remove_file(f);
+}

@@ -46,8 +46,9 @@ fn optimization_preserves_equivalence_on_designs() {
             run_flow_guarded(&t.dfg, MergeStrategy::New, &config, &FlowBudget::default())
                 .expect("synthesis"),
         );
-        let mut nl = flow.netlist;
-        let before = nl.longest_path(&lib).delay_ns;
+        let done = finish(flow.netlist, &lib, &mut Recorder::disabled(), &Watchdog::disabled())
+            .expect("an unarmed watchdog never trips");
+        let (mut nl, before) = (done.netlist, done.delay_ns);
         let report = optimize(
             &mut nl,
             &lib,
@@ -74,11 +75,11 @@ fn merging_monotonically_improves_designs() {
                 run_flow_guarded(&t.dfg, strategy, &config, &FlowBudget::default())
                     .expect("synthesis"),
             );
-            let mut nl = flow.netlist;
-            datapath_merge::opt::fold_constants(&mut nl);
-            let nl = nl.sweep();
-            delay.push(nl.longest_path(&lib).delay_ns);
-            area.push(nl.area(&lib));
+            let wd = Watchdog::disabled();
+            let done = finish(flow.netlist, &lib, &mut Recorder::disabled(), &wd)
+                .expect("an unarmed watchdog never trips");
+            delay.push(done.delay_ns);
+            area.push(done.area);
             cpas.push(flow.clustering.len());
         }
         assert!(

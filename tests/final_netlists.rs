@@ -1,8 +1,8 @@
 //! The differential oracle for netlist emission: the final netlist
-//! (`fold_constants` → `sweep` → `to_bytes()`) of every built-in design
-//! under every merge strategy, final adder and reduction discipline, plus
-//! seeded random designs at the default configuration, pinned by a 64-bit
-//! FNV-1a hash in `tests/golden/final_netlists.txt`.
+//! (`finish`: `fold_constants` → `sweep`; then `to_bytes()`) of every
+//! built-in design under every merge strategy, final adder and reduction
+//! discipline, plus seeded random designs at the default configuration,
+//! pinned by a 64-bit FNV-1a hash in `tests/golden/final_netlists.txt`.
 //!
 //! Synthesis may emit fewer gates than it used to, but whatever the fold
 //! and sweep keep must stay byte-identical: every QoR figure downstream is
@@ -28,9 +28,10 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 fn final_line(case: &str, g: &Dfg, strategy: MergeStrategy, config: &SynthConfig) -> String {
     let guarded = run_flow_guarded(g, strategy, config, &FlowBudget::default())
         .unwrap_or_else(|e| panic!("{case}: {e}"));
-    let mut nl = guarded.flow.netlist;
-    datapath_merge::opt::fold_constants(&mut nl);
-    let nl = nl.sweep();
+    let lib = Library::synthetic_025um();
+    let nl = finish(guarded.flow.netlist, &lib, &mut Recorder::disabled(), &Watchdog::disabled())
+        .expect("an unarmed watchdog never trips")
+        .netlist;
     format!("{case} gates={} fnv1a={:016x}", nl.num_gates(), fnv1a(&nl.to_bytes()))
 }
 

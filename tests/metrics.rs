@@ -39,14 +39,19 @@ fn fig3_metrics_match_hand_computed_values() {
     assert!(m.transform_converged);
     assert!(m.transform_rounds >= 1);
     assert!(m.gates > 0);
-    assert_eq!(m.delay_ns, 0.0, "delay needs a library, filled by qor()");
+    assert_eq!(m.delay_ns, 0.0, "delay needs a library, filled by finish()");
 
     let lib = Library::synthetic_025um();
-    let q = flow.qor(&lib);
+    let done = finish(flow.netlist.clone(), &lib, &mut Recorder::disabled(), &Watchdog::disabled())
+        .expect("an unarmed watchdog never trips");
+    let mut q = m.clone();
+    done.fill(&mut q);
     assert!(q.delay_ns > 0.0);
     assert!(q.area > 0.0);
-    // qor() only fills the library-dependent fields.
-    assert_eq!(q.gates, m.gates);
+    // finish() measures the final netlist and fills only gates, delay and
+    // area: never more gates than synthesis emitted.
+    assert_eq!(q.gates, done.netlist.num_gates());
+    assert!(q.gates <= m.gates);
     assert_eq!(q.clusters, m.clusters);
 }
 
@@ -90,7 +95,12 @@ fn flow_metrics_json_identical_across_runs() {
         let flow = healthy(
             run_flow_guarded(&fig.g, MergeStrategy::New, &SynthConfig::default(), &budget).unwrap(),
         );
-        flow.qor(&Library::synthetic_025um()).to_json().render()
+        let lib = Library::synthetic_025um();
+        let done = finish(flow.netlist, &lib, &mut Recorder::disabled(), &Watchdog::disabled())
+            .expect("an unarmed watchdog never trips");
+        let mut metrics = flow.metrics;
+        done.fill(&mut metrics);
+        metrics.to_json().render()
     };
     let (a, b) = (render(), render());
     assert_eq!(a, b);

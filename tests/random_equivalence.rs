@@ -84,8 +84,9 @@ proptest! {
             run_flow_guarded(&g, MergeStrategy::New, &SynthConfig::default(), &budget)
                 .expect("synthesis"),
         );
-        let mut nl = flow.netlist;
-        let before = nl.longest_path(&lib).delay_ns;
+        let done = finish(flow.netlist, &lib, &mut Recorder::disabled(), &Watchdog::disabled())
+            .expect("an unarmed watchdog never trips");
+        let (mut nl, before) = (done.netlist, done.delay_ns);
         optimize(
             &mut nl,
             &lib,

@@ -26,18 +26,13 @@ impl Qor {
     }
 }
 
-/// What `dpmc run` reports: the guarded flow, then fold, sweep and STA.
+/// What `dpmc run` reports: the guarded flow, then the post-flow stage.
 fn run_qor(g: &Dfg, strategy: MergeStrategy, config: &SynthConfig) -> Qor {
     let guarded = run_flow_guarded(g, strategy, config, &FlowBudget::default()).expect("flow");
-    let mut nl = guarded.flow.netlist;
-    datapath_merge::opt::fold_constants(&mut nl);
-    let nl = nl.sweep();
     let lib = Library::synthetic_025um();
-    Qor {
-        gates: nl.num_gates() as i64,
-        area: nl.area(&lib),
-        delay_ns: nl.longest_path(&lib).delay_ns,
-    }
+    let done = finish(guarded.flow.netlist, &lib, &mut Recorder::disabled(), &Watchdog::disabled())
+        .expect("an unarmed watchdog never trips");
+    Qor { gates: done.netlist.num_gates() as i64, area: done.area, delay_ns: done.delay_ns }
 }
 
 /// One request through the service: the answer's QoR and cache level.
