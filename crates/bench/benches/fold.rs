@@ -19,17 +19,24 @@
 //! `audit_fold_sweep_sta` runs the whole gate-level back end of a guarded
 //! flow on the S1000 netlist: the audit's `check` + `simulate_batch`,
 //! then `fold_constants`, `sweep` and `longest_path`. A synthesized
-//! netlist is built in topological order, so of those five calls only
-//! the sweep builds an order (a Kahn pass over the live gates); a return
-//! to Kahn-ordering every pass shows up here. The `_out_of_order` variant
-//! runs the same calls on the same netlist after a rewire has marked its
-//! creation order as not topological (as the optimizer's buffering
-//! does), so the memoized Kahn fallback that audit and fold then share
-//! stays measured.
+//! netlist is built in topological order, so none of those five calls
+//! builds an order; a return to Kahn-ordering every pass shows up here.
+//! The `_out_of_order` variant runs the same calls on the same netlist
+//! after a rewire has marked its creation order as not topological (as
+//! the optimizer's buffering does), so the memoized Kahn fallback that
+//! audit and fold then share stays measured. The sweep decides its path
+//! from the wiring, which that rewire restores, so it stays in order.
+//!
+//! `sweep` and `sweep_kahn` time the sweep alone on the folded S10k
+//! netlist. The first takes the creation-order path (one reverse
+//! liveness pass, one in-order rebuild); the second runs on a copy in
+//! which a live gate reads a buffer made after it, as the optimizer's
+//! buffering move wires in, so the sweep falls back to its live-gate
+//! Kahn pass.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dp_bitvec::BitVec;
-use dp_netlist::{GateId, Library, Netlist};
+use dp_netlist::{CellKind, GateId, Library, Netlist};
 use dp_opt::fold_constants;
 use dp_synth::{run_flow_guarded, FlowBudget, MergeStrategy, SynthConfig};
 use dp_testcases::scaling::scaling_design;
@@ -58,6 +65,23 @@ fn tie_input_pins(nl: &Netlist, percent: u32, seed: u64) -> Netlist {
         }
     }
     tied
+}
+
+/// A copy of `nl` in which the first live gate reading another gate's
+/// output reads it through a new buffer instead: the buffer is the last
+/// gate, so a live gate now reads a later one. The function is unchanged.
+fn buffered_back_edge(nl: &Netlist) -> Netlist {
+    let mut buffered = nl.clone();
+    let reader = nl
+        .outputs()
+        .iter()
+        .flat_map(|(_, bits)| bits)
+        .filter_map(|&bit| nl.driver_gate(bit))
+        .find(|&g| nl.driver_gate(nl.gate_inputs(g)[0]).is_some())
+        .expect("some output gate reads a gate");
+    let buf = buffered.gate(CellKind::Buf, &[nl.gate_inputs(reader)[0]]);
+    buffered.rewire_gate_input(reader, 0, buf);
+    buffered
 }
 
 fn bench_fold(c: &mut Criterion) {
@@ -137,6 +161,15 @@ fn bench_fold(c: &mut Criterion) {
         &out_of_order,
         |b, nl| b.iter(|| back_end(nl)),
     );
+    let mut folded = synthesized(10_000);
+    fold_constants(&mut folded);
+    group.bench_with_input(BenchmarkId::new("sweep", 10_000), &folded, |b, nl| {
+        b.iter(|| nl.sweep().num_gates())
+    });
+    let buffered = buffered_back_edge(&folded);
+    group.bench_with_input(BenchmarkId::new("sweep_kahn", 10_000), &buffered, |b, nl| {
+        b.iter(|| nl.sweep().num_gates())
+    });
     group.finish();
 }
 

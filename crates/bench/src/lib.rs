@@ -237,11 +237,11 @@ pub fn render_table2(rows: &[Table2Row]) -> String {
     ));
     for row in rows {
         s.push_str(&format!(
-            "{:<12} {:>10.2} {:>12.4} {:>12.4} {:>8.2}\n",
-            format!("{} Opt(s)", row.name),
+            "{:<12} {:>10.2} {:>12} {:>12} {:>8.2}\n",
+            format!("{} Opt(µs)", row.name),
             row.target_ns,
-            row.opt_time[0].as_secs_f64(),
-            row.opt_time[1].as_secs_f64(),
+            row.opt_time[0].as_micros(),
+            row.opt_time[1].as_micros(),
             row.time_reduction_pct()
         ));
         s.push_str(&format!(

@@ -116,6 +116,9 @@ pub enum Drive {
 }
 
 impl Drive {
+    /// All drive strengths, weakest first.
+    pub const ALL: [Drive; 3] = [Drive::X1, Drive::X2, Drive::X4];
+
     /// The numeric drive factor.
     pub fn factor(self) -> f64 {
         match self {

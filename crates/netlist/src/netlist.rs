@@ -457,44 +457,95 @@ impl Netlist {
 
     /// Rebuilds the netlist keeping only gates reachable from the primary
     /// outputs (dead-code elimination). Port names, widths and order are
-    /// preserved; net and gate ids are renumbered.
+    /// preserved; net and gate ids are renumbered: the inputs first, then
+    /// the live gates, each constant net where it is first read.
     ///
-    /// Live gates are renumbered in the Kahn order of the live gates alone,
-    /// which is exactly the full Kahn order with the dead gates left out:
-    /// dead gates only ever enable other dead gates, so they never reorder
-    /// live ones, and the dead majority of a synthesized netlist is never
-    /// ordered at all.
+    /// The live gates keep their creation order whenever every live gate
+    /// reads only nets of earlier gates. One reverse pass over the gate ids
+    /// marks the live gates and checks that, and one forward pass rebuilds
+    /// them: no consumer index and no order is built. The path is decided
+    /// by the wiring alone, not by
+    /// [`Netlist::creation_order_is_topological`], so the result depends
+    /// only on the structure, and a swept netlist sweeps to itself byte
+    /// for byte. Otherwise (a live back edge, as the optimizer's
+    /// buffering move wires in) live gates are renumbered in the Kahn
+    /// order of the live gates alone, which is exactly the full Kahn order
+    /// with the dead gates left out. Loops among dead gates never matter.
     ///
     /// # Panics
     ///
-    /// Panics if the live gates form a combinational cycle.
+    /// Panics if the live gates form a combinational cycle, or a live gate
+    /// reads an undriven net.
     pub fn sweep(&self) -> Netlist {
-        let live = self.live_gates();
-        let order = self.live_kahn_order(&live).expect("sweep requires an acyclic netlist");
-        let live_gates = order.len();
-        // Each live gate drives one net; ports and constants add a handful.
-        let mut out =
-            Netlist::with_capacity(live_gates + self.drivers.len() - self.gates.len(), live_gates);
-        let mut net_map: Vec<Option<NetId>> = vec![None; self.drivers.len()];
-        for (name, bits) in &self.inputs {
-            let new_bits = out.input(name.clone(), bits.len());
-            for (k, &b) in bits.iter().enumerate() {
-                net_map[b.index()] = Some(new_bits[k]);
+        match self.live_in_creation_order() {
+            Some((live, count)) => self.rebuild(
+                count,
+                (0..self.gates.len()).filter(|&i| live[i]).map(|i| GateId(i as u32)),
+            ),
+            None => {
+                let order = self
+                    .live_kahn_order(&self.live_gates())
+                    .expect("sweep requires an acyclic netlist");
+                self.rebuild(order.len(), order.into_iter())
             }
         }
-        // Constants on demand.
-        let map_net = |out: &mut Netlist, net_map: &mut Vec<Option<NetId>>, n: NetId| {
-            if let Some(m) = net_map[n.index()] {
+    }
+
+    /// The live gates and their count, by one reverse pass over the gate
+    /// ids, or `None` if a live gate reads a net driven by itself or a
+    /// later gate. Every live gate's producers then have lower ids, so
+    /// they are marked before the walk reaches them.
+    fn live_in_creation_order(&self) -> Option<(Vec<bool>, usize)> {
+        let mut live = vec![false; self.gates.len()];
+        for (_, bits) in &self.outputs {
+            for &b in bits {
+                if let NetDriver::Gate(g) = self.drivers[b.index()] {
+                    live[g.index()] = true;
+                }
+            }
+        }
+        let mut count = 0;
+        for i in (0..self.gates.len()).rev() {
+            if !live[i] {
+                continue;
+            }
+            count += 1;
+            for &n in self.gates[i].inputs() {
+                if let NetDriver::Gate(src) = self.drivers[n.index()] {
+                    if src.index() >= i {
+                        return None;
+                    }
+                    live[src.index()] = true;
+                }
+            }
+        }
+        Some((live, count))
+    }
+
+    /// The sweep's rebuild: the inputs, then the `count` gates of `order`
+    /// (every gate after the producers of its inputs), then the outputs.
+    /// Constant nets are made when first read.
+    fn rebuild(&self, count: usize, order: impl Iterator<Item = GateId>) -> Netlist {
+        const UNMAPPED: NetId = NetId(u32::MAX);
+        // Each live gate drives one net; ports and constants add a handful.
+        let mut out = Netlist::with_capacity(count + self.drivers.len() - self.gates.len(), count);
+        let mut net_map = vec![UNMAPPED; self.drivers.len()];
+        for (name, bits) in &self.inputs {
+            let new_bits = out.input(name.clone(), bits.len());
+            for (&b, &m) in bits.iter().zip(&new_bits) {
+                net_map[b.index()] = m;
+            }
+        }
+        let map_net = |out: &mut Netlist, net_map: &mut [NetId], n: NetId| {
+            let m = net_map[n.index()];
+            if m != UNMAPPED {
                 return m;
             }
-            let m = match self.drivers[n.index()] {
-                NetDriver::Const(true) => Some(out.const1()),
-                NetDriver::Const(false) => Some(out.const0()),
-                _ => None,
-            };
-            let m =
-                m.expect("topological order maps every non-constant net before its first reader");
-            net_map[n.index()] = Some(m);
+            let value = self
+                .const_value(n)
+                .expect("the rebuild order maps every non-constant net before its first reader");
+            let m = out.const_net(value);
+            net_map[n.index()] = m;
             m
         };
         for g in order {
@@ -506,8 +557,8 @@ impl Netlist {
             for (slot, &n) in inputs.iter_mut().zip(gate.inputs()) {
                 *slot = map_net(&mut out, &mut net_map, n);
             }
-            let new_out = out.gate_with_drive(gate.kind, gate.drive, &inputs[..arity]);
-            net_map[gate.output.index()] = Some(new_out);
+            net_map[gate.output.index()] =
+                out.gate_with_drive(gate.kind, gate.drive, &inputs[..arity]);
         }
         for (name, bits) in &self.outputs {
             let new_bits: Vec<NetId> =
@@ -553,9 +604,22 @@ impl Netlist {
         self.kahn(keep, &off, &consumers)
     }
 
-    /// Total cell area in normalized library units.
+    /// Total cell area in normalized library units: the gate count of each
+    /// (kind, drive) pair times its cell area, summed in [`CellKind::ALL`]
+    /// × [`Drive::ALL`] order, so renumbering the gates leaves every bit
+    /// of the figure in place.
     pub fn area(&self, lib: &Library) -> f64 {
-        self.gates.iter().map(|g| lib.area(g.kind, g.drive)).sum()
+        let mut counts = [[0u32; Drive::ALL.len()]; CellKind::ALL.len()];
+        for g in &self.gates {
+            counts[g.kind as usize][g.drive as usize] += 1;
+        }
+        let mut area = 0.0;
+        for (kind, per_drive) in CellKind::ALL.into_iter().zip(counts) {
+            for (drive, count) in Drive::ALL.into_iter().zip(per_drive) {
+                area += f64::from(count) * lib.area(kind, drive);
+            }
+        }
+        area
     }
 
     /// Gate count per cell kind, in [`CellKind::ALL`] order.
@@ -833,7 +897,7 @@ mod tests {
         n.longest_path(&Library::synthetic_025um());
         assert!(n.topo.get().is_none(), "order-free passes must not build a Kahn order");
         n.sweep();
-        assert!(n.topo.get().is_none(), "sweep orders only the live gates, uncached");
+        assert!(n.topo.get().is_none(), "an in-order sweep builds no order");
     }
 
     #[test]
@@ -865,6 +929,36 @@ mod tests {
         let decoded = Netlist::from_bytes(&n.to_bytes()).unwrap();
         assert!(!decoded.creation_order_is_topological());
         assert_eq!(decoded.check(), Err(NetlistError::Cyclic));
+    }
+
+    #[test]
+    fn a_live_back_edge_sweeps_through_kahn() {
+        // The optimizer's buffering move: a buffer made after `y` takes
+        // over `y`'s read of `x`, so a live gate reads a later gate.
+        let mut n = Netlist::new();
+        let a = n.input("a", 2);
+        let x = n.gate(CellKind::Xor2, &[a[0], a[1]]);
+        let y = n.gate(CellKind::Nand2, &[x, a[0]]);
+        let dead = n.gate(CellKind::Inv, &[y]);
+        let buf = n.gate(CellKind::Buf, &[x]);
+        n.output("o", vec![y, x]);
+        n.rewire_gate_input(n.driver_gate(y).unwrap(), 0, buf);
+        assert!(n.live_in_creation_order().is_none());
+        let swept = n.sweep();
+        assert_eq!(swept.num_gates(), 3, "only the dead inverter goes");
+        assert!(swept.creation_order_is_topological());
+        assert!(swept.live_in_creation_order().is_some(), "Kahn order is creation order");
+        for v in 0..4 {
+            let lanes = [dp_bitvec::BitVec::from_u64(2, v)];
+            assert_eq!(swept.simulate(&lanes), n.simulate(&lanes), "a={v}");
+        }
+        // A loop among dead gates leaves the live gates in creation order.
+        n.rewire_gate_input(n.driver_gate(y).unwrap(), 0, x);
+        n.rewire_gate_input(n.driver_gate(buf).unwrap(), 0, dead);
+        n.rewire_gate_input(n.driver_gate(dead).unwrap(), 0, buf);
+        assert_eq!(n.check(), Err(NetlistError::Cyclic));
+        assert!(n.live_in_creation_order().is_some());
+        assert_eq!(n.sweep().num_gates(), 2);
     }
 
     /// Exact truth of the flag: every gate-driven input has a lower id.
@@ -1055,6 +1149,54 @@ mod tests {
                 );
                 prop_assert_eq!(n.critical_gates(&lib, 0.05), forced.critical_gates(&lib, 0.05));
                 prop_assert_eq!(format!("{:?}", n.sweep()), format!("{:?}", forced.sweep()));
+            }
+        }
+
+        /// A netlist built in creation order sweeps in one reverse and one
+        /// forward pass, and its sweep sweeps to itself byte for byte.
+        #[test]
+        fn sweep_is_idempotent(seed in any::<u64>(), gates in 0usize..80) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (n, _) = random_netlist(&mut rng, gates);
+            prop_assert!(n.live_in_creation_order().is_some());
+            let once = n.sweep();
+            prop_assert_eq!(once.sweep().to_bytes(), once.to_bytes());
+        }
+
+        /// Under random edits (back edges and dead loops included) the
+        /// sweep keeps the function on whichever path it takes, and its
+        /// result is in creation order. Half the cases also splice a new
+        /// buffer in front of a gate's pin, as the optimizer's buffering
+        /// move does, so a live back edge is common.
+        #[test]
+        fn sweep_keeps_the_function(seed in any::<u64>(), gates in 1usize..40, steps in 0usize..20) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (mut n, mut nets) = random_netlist(&mut rng, gates);
+            for _ in 0..steps {
+                random_edit(&mut rng, &mut n, &mut nets);
+            }
+            if rng.gen_bool(0.5) {
+                let g = GateId(rng.gen_range(0..n.num_gates() as u32));
+                let buf = n.gate(CellKind::Buf, &[n.gate_inputs(g)[0]]);
+                n.rewire_gate_input(g, 0, buf);
+            }
+            // The sweep's contract: no live loop, no live undriven net.
+            let live = n.live_gates();
+            let driven = |i: &NetId| n.drivers[i.index()] != NetDriver::Undriven;
+            let live_reads = n.gates.iter().zip(&live).filter(|(_, &l)| l);
+            prop_assume!(n.live_kahn_order(&live).is_some());
+            prop_assume!(live_reads.flat_map(|(g, _)| g.inputs()).all(driven));
+            prop_assume!(n.outputs.iter().flat_map(|(_, bits)| bits).all(driven));
+            let swept = n.sweep();
+            prop_assert!(creation_order_is_exactly_topological(&swept));
+            prop_assert_eq!(swept.num_gates(), live.iter().filter(|&&l| l).count());
+            prop_assert_eq!(swept.check(), Ok(()));
+            // A dead loop or dead undriven net stops the input simulating.
+            for v in 0..8 {
+                let lanes = [dp_bitvec::BitVec::from_u64(3, v)];
+                if let Ok(want) = n.simulate(&lanes) {
+                    prop_assert_eq!(swept.simulate(&lanes), Ok(want));
+                }
             }
         }
 

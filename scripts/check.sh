@@ -33,7 +33,7 @@ echo "==> criterion smoke (netlist fold/sweep hot path)"
 cargo bench -p dp-bench --bench fold > /dev/null
 
 echo "==> dpmc bench --compare (QoR/provenance exact, timing within 400%)"
-cargo run --release --bin dpmc -- bench --jobs 1 --compare BENCH_pr9.json --max-regress-pct 400
+cargo run --release --bin dpmc -- bench --jobs 1 --compare BENCH_baseline.json --max-regress-pct 400
 
 echo "==> S10k wall-time budget (full flow x2 strategies + verify under 30s)"
 # The S10k scaling member is not in the committed baseline (timing there

@@ -25,13 +25,21 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
 }
 
-fn final_line(case: &str, g: &Dfg, strategy: MergeStrategy, config: &SynthConfig) -> String {
+fn finished(nl: Netlist) -> Netlist {
+    let lib = Library::synthetic_025um();
+    finish(nl, &lib, &mut Recorder::disabled(), &Watchdog::disabled())
+        .expect("an unarmed watchdog never trips")
+        .netlist
+}
+
+fn final_netlist(case: &str, g: &Dfg, strategy: MergeStrategy, config: &SynthConfig) -> Netlist {
     let guarded = run_flow_guarded(g, strategy, config, &FlowBudget::default())
         .unwrap_or_else(|e| panic!("{case}: {e}"));
-    let lib = Library::synthetic_025um();
-    let nl = finish(guarded.flow.netlist, &lib, &mut Recorder::disabled(), &Watchdog::disabled())
-        .expect("an unarmed watchdog never trips")
-        .netlist;
+    finished(guarded.flow.netlist)
+}
+
+fn final_line(case: &str, g: &Dfg, strategy: MergeStrategy, config: &SynthConfig) -> String {
+    let nl = final_netlist(case, g, strategy, config);
     format!("{case} gates={} fnv1a={:016x}", nl.num_gates(), fnv1a(&nl.to_bytes()))
 }
 
@@ -99,5 +107,23 @@ fn final_netlists_match_the_golden_hashes() {
             path.display(),
             diff.join("\n")
         );
+    }
+}
+
+/// A final netlist is a fixed point of `finish`: nothing in it folds, every
+/// gate is live, and the sweep keeps its creation order.
+#[test]
+fn finish_is_idempotent() {
+    for name in BUILTIN_NAMES {
+        let g = named_design(name).expect("built-in design resolves");
+        for strategy in STRATEGIES {
+            let case = format!("{name} {}", strategy_tag(strategy));
+            let once = final_netlist(&case, &g, strategy, &SynthConfig::default());
+            let bytes = once.to_bytes();
+            assert!(
+                finished(once).to_bytes() == bytes,
+                "{case}: a second finish changed the netlist"
+            );
+        }
     }
 }
