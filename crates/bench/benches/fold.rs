@@ -18,27 +18,25 @@
 //!
 //! `audit_fold_sweep_sta` runs the whole gate-level back end of a guarded
 //! flow on the S1000 netlist: the audit's `check` + `simulate_batch`,
-//! then `fold_constants`, `sweep` and `longest_path`. A synthesized
-//! netlist is built in topological order, so none of those five calls
-//! builds an order; a return to Kahn-ordering every pass shows up here.
-//! The `_out_of_order` variant runs the same calls on the same netlist
-//! after a rewire has marked its creation order as not topological (as
-//! the optimizer's buffering does), so the memoized Kahn fallback that
-//! audit and fold then share stays measured. The sweep decides its path
-//! from the wiring, which that rewire restores, so it stays in order.
+//! then `fold_constants`, `sweep` and `longest_path`. Every pass walks
+//! gate-id order, which is topological by construction, so none of those
+//! five calls builds an order.
 //!
-//! `sweep` and `sweep_kahn` time the sweep alone on the folded S10k
-//! netlist. The first takes the creation-order path (one reverse
-//! liveness pass, one in-order rebuild); the second runs on a copy in
-//! which a live gate reads a buffer made after it, as the optimizer's
-//! buffering move wires in, so the sweep falls back to its live-gate
-//! Kahn pass.
+//! `sweep` times the sweep alone on the folded S10k netlist: one reverse
+//! liveness pass and one in-order rebuild.
+//!
+//! `optimize_buffered` times `dp_opt::optimize` on the finished D1
+//! carry-select new-merge netlist to 0.8 × its delay, a run that inserts
+//! a buffer, so the optimizer's buffer insertion (`insert_buffer`, which
+//! shifts later gate ids) and the tracker rebuild after it stay measured.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use dp_bench::measure_flow;
 use dp_bitvec::BitVec;
-use dp_netlist::{CellKind, GateId, Library, Netlist};
-use dp_opt::fold_constants;
-use dp_synth::{run_flow_guarded, FlowBudget, MergeStrategy, SynthConfig};
+use dp_netlist::{Library, Netlist};
+use dp_opt::{fold_constants, optimize, OptConfig};
+use dp_synth::{run_flow_guarded, AdderKind, FlowBudget, MergeStrategy, SynthConfig};
+use dp_testcases::designs::d1;
 use dp_testcases::scaling::scaling_design;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -67,23 +65,6 @@ fn tie_input_pins(nl: &Netlist, percent: u32, seed: u64) -> Netlist {
     tied
 }
 
-/// A copy of `nl` in which the first live gate reading another gate's
-/// output reads it through a new buffer instead: the buffer is the last
-/// gate, so a live gate now reads a later one. The function is unchanged.
-fn buffered_back_edge(nl: &Netlist) -> Netlist {
-    let mut buffered = nl.clone();
-    let reader = nl
-        .outputs()
-        .iter()
-        .flat_map(|(_, bits)| bits)
-        .filter_map(|&bit| nl.driver_gate(bit))
-        .find(|&g| nl.driver_gate(nl.gate_inputs(g)[0]).is_some())
-        .expect("some output gate reads a gate");
-    let buf = buffered.gate(CellKind::Buf, &[nl.gate_inputs(reader)[0]]);
-    buffered.rewire_gate_input(reader, 0, buf);
-    buffered
-}
-
 fn bench_fold(c: &mut Criterion) {
     let mut group = c.benchmark_group("fold");
     group.sample_size(10);
@@ -106,7 +87,6 @@ fn bench_fold(c: &mut Criterion) {
             })
         });
     }
-    // Fresh from synthesis, so every clone starts without a cached order.
     let nl = synthesized(1000);
     let tied = tie_input_pins(&nl, 10, 1);
     // Gates the fold itself replaces (their output loses every reader).
@@ -147,28 +127,18 @@ fn bench_fold(c: &mut Criterion) {
     group.bench_with_input(BenchmarkId::new("audit_fold_sweep_sta", 1000), &nl, |b, nl| {
         b.iter(|| back_end(nl))
     });
-    // The same structure, marked out of order: a rewire onto the gate's
-    // own output is a back edge, and rewiring back restores the wiring
-    // but not creation order's standing as a topological order.
-    let mut out_of_order = nl.clone();
-    let g = GateId::from_index(0);
-    let pin0 = out_of_order.gate_inputs(g)[0];
-    out_of_order.rewire_gate_input(g, 0, out_of_order.gate_output(g));
-    out_of_order.rewire_gate_input(g, 0, pin0);
-    assert!(!out_of_order.creation_order_is_topological());
-    group.bench_with_input(
-        BenchmarkId::new("audit_fold_sweep_sta_out_of_order", 1000),
-        &out_of_order,
-        |b, nl| b.iter(|| back_end(nl)),
-    );
     let mut folded = synthesized(10_000);
     fold_constants(&mut folded);
     group.bench_with_input(BenchmarkId::new("sweep", 10_000), &folded, |b, nl| {
         b.iter(|| nl.sweep().num_gates())
     });
-    let buffered = buffered_back_edge(&folded);
-    group.bench_with_input(BenchmarkId::new("sweep_kahn", 10_000), &buffered, |b, nl| {
-        b.iter(|| nl.sweep().num_gates())
+    let config = SynthConfig { adder: AdderKind::CarrySelect, ..SynthConfig::default() };
+    let (m, d1_new) = measure_flow(&d1(), MergeStrategy::New, &config, &lib);
+    let target = OptConfig { target_delay_ns: 0.8 * m.delay_ns, ..OptConfig::default() };
+    let buffers = optimize(&mut d1_new.clone(), &lib, &target).buffers_inserted;
+    assert!(buffers > 0, "the D1 carry-select run inserts a buffer");
+    group.bench_with_input(BenchmarkId::new("optimize_buffered", "D1"), &d1_new, |b, nl| {
+        b.iter(|| optimize(&mut nl.clone(), &lib, &target).end_delay_ns)
     });
     group.finish();
 }

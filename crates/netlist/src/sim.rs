@@ -94,8 +94,7 @@ impl Netlist {
                 values[i] = *v;
             }
         }
-        for g in self.eval_order()? {
-            let gate = &self.gates[g.index()];
+        for gate in &self.gates {
             // Arity-1 cells ignore `b`; their second slot duplicates pin 0.
             let a = values[gate.ins[0].index()];
             let b = values[gate.ins[1].index()];
@@ -111,7 +110,7 @@ impl Netlist {
     /// Simulates the netlist on many input assignments at once using the
     /// word-parallel encoding of `DESIGN.md` §13: each net carries one
     /// `u64` whose bit `l` is that net's value in lane `l`, so a single
-    /// topological pass evaluates up to 64 vectors. More than 64 lanes are
+    /// pass in gate-id order evaluates up to 64 vectors. More than 64 lanes are
     /// processed in chunks of 64.
     ///
     /// `lanes[l]` is one full input assignment exactly as
@@ -142,7 +141,6 @@ impl Netlist {
                 }
             }
         }
-        let order = self.eval_order()?;
         let mut results = Vec::with_capacity(lanes.len());
         let mut words = vec![0u64; self.num_nets()];
         for chunk in lanes.chunks(64) {
@@ -162,8 +160,7 @@ impl Netlist {
                     }
                 }
             }
-            for g in order.clone() {
-                let gate = &self.gates[g.index()];
+            for gate in &self.gates {
                 // Arity-1 cells ignore `b`; their second slot duplicates pin 0.
                 let a = words[gate.ins[0].index()];
                 let b = words[gate.ins[1].index()];

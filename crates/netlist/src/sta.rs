@@ -1,7 +1,7 @@
 //! Static timing analysis with the linear-load delay model.
 
 use crate::netlist::NetDriver;
-use crate::{Library, NetId, Netlist, NetlistError};
+use crate::{GateId, Library, NetId, Netlist};
 
 /// Arrival time (ns) at every net, assuming all primary inputs arrive at
 /// t = 0 — the setup used for the paper's Tables 1 and 2.
@@ -29,16 +29,10 @@ pub struct TimingReport {
 }
 
 impl Netlist {
-    /// Computes arrival times at every net.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the netlist has a combinational cycle; run
-    /// [`Netlist::check`] first for a graceful error.
+    /// Computes arrival times at every net, in one pass in gate-id order.
     pub fn arrival_times(&self, lib: &Library) -> ArrivalTimes {
         let mut at = vec![0.0f64; self.num_nets()];
-        for g in self.eval_order().expect("timing needs an acyclic netlist") {
-            let gate = &self.gates[g.index()];
+        for gate in &self.gates {
             let input_at = gate.inputs().iter().map(|&n| at[n.index()]).fold(0.0f64, f64::max);
             let d = lib.delay_ns(gate.kind, gate.drive, self.fanout_of(gate.output));
             at[gate.output.index()] = input_at + d;
@@ -75,7 +69,7 @@ impl Netlist {
     /// The single worst input-to-output path, as the ordered list of gates
     /// from the path's first gate to the critical output's driver. Empty
     /// for gateless netlists.
-    pub fn critical_path(&self, lib: &Library) -> Vec<crate::GateId> {
+    pub fn critical_path(&self, lib: &Library) -> Vec<GateId> {
         let at = self.arrival_times(lib);
         // Start at the worst output bit's driver and walk backwards,
         // always following the latest-arriving input.
@@ -103,9 +97,9 @@ impl Netlist {
 
     /// The set of gates on (near-)critical paths: every gate whose output
     /// arrival is within `slack_ns` of the worst path *and* which lies on
-    /// a path reaching the critical output. Used by the optimizer to focus
-    /// sizing.
-    pub fn critical_gates(&self, lib: &Library, slack_ns: f64) -> Vec<crate::GateId> {
+    /// a path reaching the critical output, in gate-id order. Used by the
+    /// optimizer to focus sizing.
+    pub fn critical_gates(&self, lib: &Library, slack_ns: f64) -> Vec<GateId> {
         let at = self.arrival_times(lib);
         let worst = self.timing_report(&at).delay_ns;
         // Backward required-time sweep: required(net) = worst at outputs.
@@ -115,9 +109,7 @@ impl Netlist {
                 required[b.index()] = worst;
             }
         }
-        let order = self.topo_order().expect("arrival times above proved the netlist acyclic");
-        for &g in order.iter().rev() {
-            let gate = &self.gates[g.index()];
+        for gate in self.gates.iter().rev() {
             let d = lib.delay_ns(gate.kind, gate.drive, self.fanout_of(gate.output));
             let req_in = required[gate.output.index()] - d;
             for &i in gate.inputs() {
@@ -129,9 +121,7 @@ impl Netlist {
                 }
             }
         }
-        order
-            .iter()
-            .copied()
+        self.gate_ids()
             .filter(|&g| {
                 let out = self.gates[g.index()].output;
                 let slack = required[out.index()] - at.at(out);
@@ -159,70 +149,39 @@ impl Netlist {
 /// (gate/net creation, rewiring) build a fresh one.
 #[derive(Debug, Clone)]
 pub struct IncrementalSta {
-    /// `rank[g.index()]` = topological position of `g`; `None` when
-    /// creation order is topological and the gate id is the position.
-    rank: Option<Vec<u32>>,
     /// CSR consumer index: `coff[g]..coff[g + 1]` slices `cons`.
     coff: Vec<u32>,
-    cons: Vec<crate::GateId>,
+    cons: Vec<GateId>,
     /// Arrival time per net.
     at: Vec<f64>,
     /// Scratch: gates queued in the current cone walk.
     queued: Vec<bool>,
-    /// Scratch: pending cone worklist ordered by topological position.
-    heap: std::collections::BinaryHeap<std::cmp::Reverse<(u32, crate::GateId)>>,
+    /// Scratch: pending cone worklist, lowest gate id (a topological
+    /// position) first.
+    heap: std::collections::BinaryHeap<std::cmp::Reverse<GateId>>,
 }
 
 impl IncrementalSta {
-    /// Builds the tracker with a full arrival pass.
-    ///
-    /// On a netlist whose creation order is topological the gate id is the
-    /// position and no order is built. Otherwise the consumer CSR is built
-    /// once and serves both the Kahn pass (whose order is memoized in the
-    /// netlist for [`Netlist::critical_gates`]) and the tracker.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::Cyclic`] on a combinational loop.
-    pub fn new(nl: &Netlist, lib: &Library) -> Result<IncrementalSta, NetlistError> {
-        let (coff, cons) = nl.gate_consumers(|_| true);
+    /// Builds the tracker with a full arrival pass in gate-id order.
+    pub fn new(nl: &Netlist, lib: &Library) -> IncrementalSta {
+        let (coff, cons) = nl.gate_consumers();
         let mut sta = IncrementalSta {
-            rank: None,
             coff,
             cons,
             at: vec![0.0f64; nl.num_nets()],
             queued: vec![false; nl.num_gates()],
             heap: std::collections::BinaryHeap::new(),
         };
-        if nl.creation_order_is_topological() {
-            for g in nl.gate_ids() {
-                sta.at[nl.gate_output(g).index()] = sta.eval_gate(nl, lib, g);
-            }
-        } else {
-            let order = nl
-                .topo
-                .get_or_init(|| nl.kahn(|_| true, &sta.coff, &sta.cons))
-                .as_deref()
-                .ok_or(NetlistError::Cyclic)?;
-            let mut rank = vec![0u32; nl.num_gates()];
-            for (i, &g) in order.iter().enumerate() {
-                rank[g.index()] = i as u32;
-                sta.at[nl.gate_output(g).index()] = sta.eval_gate(nl, lib, g);
-            }
-            sta.rank = Some(rank);
+        for g in nl.gate_ids() {
+            sta.at[nl.gate_output(g).index()] = sta.eval_gate(nl, lib, g);
         }
-        Ok(sta)
-    }
-
-    /// Topological position of `g`, the cone worklist's key.
-    fn position(&self, g: crate::GateId) -> u32 {
-        self.rank.as_ref().map_or(g.index() as u32, |rank| rank[g.index()])
+        sta
     }
 
     /// Arrival of one gate's output from the current `at` array: max input
     /// arrival (pin order, `f64::max` fold — identical to the full pass)
     /// plus the cell delay under the net's current fanout.
-    fn eval_gate(&self, nl: &Netlist, lib: &Library, g: crate::GateId) -> f64 {
+    fn eval_gate(&self, nl: &Netlist, lib: &Library, g: GateId) -> f64 {
         let gate = &nl.gates[g.index()];
         let input_at = gate.inputs().iter().map(|&n| self.at[n.index()]).fold(0.0f64, f64::max);
         input_at + lib.delay_ns(gate.kind, gate.drive, nl.fanout_of(gate.output))
@@ -236,10 +195,10 @@ impl IncrementalSta {
     /// Re-propagates arrivals through the fanout cone of `g` after its
     /// delay changed (a sizing move). Gates are visited in topological
     /// order; propagation stops at gates whose arrival is unchanged.
-    pub fn update_gate(&mut self, nl: &Netlist, lib: &Library, g: crate::GateId) {
-        self.heap.push(std::cmp::Reverse((self.position(g), g)));
+    pub fn update_gate(&mut self, nl: &Netlist, lib: &Library, g: GateId) {
+        self.heap.push(std::cmp::Reverse(g));
         self.queued[g.index()] = true;
-        while let Some(std::cmp::Reverse((_, g))) = self.heap.pop() {
+        while let Some(std::cmp::Reverse(g)) = self.heap.pop() {
             self.queued[g.index()] = false;
             let out = nl.gate_output(g).index();
             let new_at = self.eval_gate(nl, lib, g);
@@ -254,7 +213,7 @@ impl IncrementalSta {
             for &c in &self.cons[lo..hi] {
                 if !self.queued[c.index()] {
                     self.queued[c.index()] = true;
-                    self.heap.push(std::cmp::Reverse((self.position(c), c)));
+                    self.heap.push(std::cmp::Reverse(c));
                 }
             }
         }
@@ -380,19 +339,20 @@ mod tests {
         let a = n.input("a", 2);
         let x = n.gate(CellKind::Xor2, &[a[0], a[1]]);
         let mut w = x;
-        let mut gates = vec![n.driver_gate(x).unwrap()];
+        let mut nets = vec![x];
         for _ in 0..10 {
             w = n.gate(CellKind::Nand2, &[w, a[0]]);
-            gates.push(n.driver_gate(w).unwrap());
+            nets.push(w);
         }
         let side = n.gate(CellKind::Inv, &[x]);
         n.output("o", vec![w, side]);
         // Size a few gates up and down; the tracker must stay bit-identical
         // to a fresh full pass after every move.
-        let size_and_compare = |n: &mut Netlist, gates: &[crate::GateId]| {
-            let mut sta = IncrementalSta::new(n, &lib).unwrap();
+        let size_and_compare = |n: &mut Netlist, nets: &[NetId]| {
+            let mut sta = IncrementalSta::new(n, &lib);
             assert_eq!(sta.delay_ns(n).to_bits(), n.longest_path(&lib).delay_ns.to_bits());
-            for (i, &g) in gates.iter().enumerate() {
+            for (i, &net) in nets.iter().enumerate() {
+                let g = n.driver_gate(net).unwrap();
                 let drive = if i % 2 == 0 { Drive::X4 } else { Drive::X2 };
                 n.set_drive(g, drive);
                 sta.update_gate(n, &lib, g);
@@ -404,21 +364,16 @@ mod tests {
                 assert_eq!(sta.delay_ns(n).to_bits(), n.longest_path(&lib).delay_ns.to_bits());
             }
         };
-        assert!(n.creation_order_is_topological());
-        size_and_compare(&mut n, &gates);
-        assert!(n.topo.get().is_none(), "creation order needs no Kahn pass");
-        // Buffer `x` the way the optimizer does: the new, highest-id buffer
-        // feeds the chain head and the side load, so gate ids are no longer
-        // a topological order and the tracker ranks gates by Kahn position.
-        let buf = n.gate(CellKind::Buf, &[x]);
-        assert_eq!(n.gate_inputs(gates[1])[0], x);
-        n.rewire_gate_input(gates[1], 0, buf);
-        n.rewire_gate_input(n.driver_gate(side).unwrap(), 0, buf);
-        assert!(!n.creation_order_is_topological());
-        gates.push(n.driver_gate(buf).unwrap());
-        gates.reverse();
-        size_and_compare(&mut n, &gates);
-        assert!(n.topo.get().is_some(), "the tracker's Kahn pass is memoized for reuse");
+        size_and_compare(&mut n, &nets);
+        // Buffer `x` the way the optimizer does: the buffer takes the id
+        // after `x`'s driver and feeds the chain head and the side load, so
+        // every later gate id moves up by one.
+        let readers = [n.driver_gate(nets[1]).unwrap(), n.driver_gate(side).unwrap()];
+        let buf = n.insert_buffer(x, &readers.map(|g| (g, 0)));
+        assert_eq!(n.driver_gate(buf).unwrap().index(), n.driver_gate(x).unwrap().index() + 1);
+        nets.push(buf);
+        nets.reverse();
+        size_and_compare(&mut n, &nets);
     }
 
     #[test]

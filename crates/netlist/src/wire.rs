@@ -12,8 +12,8 @@
 //! netlist or a [`WireDecodeError`] carrying the offset of the first
 //! defect. Truncated, bit-flipped or garbage input must never panic —
 //! every cross-reference (gate↔net driver bijection, port net ranges,
-//! constant-net uniqueness) is validated, and fanout counts are recomputed
-//! rather than trusted.
+//! constant-net uniqueness, every gate reading only earlier nets) is
+//! validated, and fanout counts are recomputed rather than trusted.
 
 use std::error::Error;
 use std::fmt;
@@ -148,8 +148,8 @@ impl Netlist {
     ///
     /// Returns a [`WireDecodeError`] on any malformed input: wrong magic,
     /// truncation, out-of-range tags or ids, a broken gate↔driver
-    /// bijection, duplicate constant nets, or trailing bytes. No input
-    /// panics.
+    /// bijection, a gate reading its own or a later gate's output,
+    /// duplicate constant nets, or trailing bytes. No input panics.
     pub fn from_bytes(bytes: &[u8]) -> Result<Netlist, WireDecodeError> {
         let mut d = Decoder { bytes, pos: 0 };
         d.expect_magic()?;
@@ -183,6 +183,7 @@ impl Netlist {
         let num_gates = d.length("gate count", u32::MAX as u64)?;
         let mut gates = Vec::with_capacity(num_gates);
         for i in 0..num_gates {
+            let start = d.pos;
             let kind = {
                 let at = d.pos;
                 let tag = d.byte("cell kind")?;
@@ -201,6 +202,17 @@ impl Netlist {
             }
             if kind.arity() == 1 {
                 ins[1] = ins[0]; // arity-1 cells duplicate the pin inline
+            }
+            // Gates read only earlier nets, so gate-id order is topological.
+            for &pin in &ins {
+                if let NetDriver::Gate(src) = drivers[pin.index()] {
+                    if src.index() >= i {
+                        return Err(d.error_at(
+                            start,
+                            format!("gate g{i} reads {pin}, driven by {src}, not an earlier gate"),
+                        ));
+                    }
+                }
             }
             let output = d.net("gate output", num_nets)?;
             if drivers.get(output.index()) != Some(&NetDriver::Gate(GateId::from_index(i))) {
@@ -260,23 +272,7 @@ impl Netlist {
                 fanout[b.index()] += 1;
             }
         }
-        // Creation order is topological unless some gate reads the output
-        // of itself or of a later gate.
-        let back_edge = gates.iter().enumerate().any(|(i, g)| {
-            g.inputs()
-                .iter()
-                .any(|n| matches!(drivers[n.index()], NetDriver::Gate(src) if src.index() >= i))
-        });
-        Ok(Netlist {
-            drivers,
-            fanout,
-            gates,
-            inputs,
-            outputs,
-            const_nets,
-            topo: Default::default(),
-            back_edge,
-        })
+        Ok(Netlist { drivers, fanout, gates, inputs, outputs, const_nets })
     }
 }
 
@@ -365,6 +361,10 @@ impl Decoder<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::netlist::tests::{assert_invariants, random_netlist};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn sample() -> Netlist {
         let mut n = Netlist::new();
@@ -416,23 +416,26 @@ mod tests {
                     let out = n.gate_output(g);
                     assert_eq!(n.driver_gate(out), Some(g), "byte {i}: bijection broken");
                 }
+                assert_invariants(&n);
             }
         }
     }
 
     #[test]
     fn gate_driver_bijection_is_enforced() {
-        // Point net 0's driver at gate 0 without gate 0 driving it.
+        // Point net 1's driver at gate 0 without gate 0 driving it.
         let mut n = Netlist::new();
         let a = n.input("a", 1)[0];
+        n.input("b", 1);
         let x = n.gate(CellKind::Inv, &[a]);
         n.output("o", vec![x]);
         let mut bytes = n.to_bytes();
-        // Net table starts right after magic + count varint; net 0 is the
-        // input "a": tag TAG_INPUT at offset 5. Make it claim gate 0.
-        assert_eq!(bytes[5], TAG_INPUT);
-        bytes[5] = TAG_GATE;
-        bytes.insert(6, 0); // gate id varint
+        // Net table starts right after magic + count varint; net 1 is the
+        // input "b", which no gate reads: tag TAG_INPUT at offset 6. Make
+        // it claim gate 0.
+        assert_eq!(bytes[6], TAG_INPUT);
+        bytes[6] = TAG_GATE;
+        bytes.insert(7, 0); // gate id varint
         let err = Netlist::from_bytes(&bytes).expect_err("broken bijection must not decode");
         assert!(err.message.contains("does not drive"), "{err}");
     }
@@ -443,5 +446,73 @@ mod tests {
         bytes.push(0);
         let err = Netlist::from_bytes(&bytes).expect_err("trailing byte");
         assert!(err.message.contains("trailing"), "{err}");
+    }
+
+    /// Encodes `n` after pointing pin 0 of gate `gate` at the output of
+    /// gate `src` (the encoder does not validate), and decodes the bytes.
+    fn decode_with_pin_on(gate: usize, src: usize) -> (Vec<u8>, WireDecodeError) {
+        let mut n = sample();
+        n.gates[gate].ins[0] = n.gates[src].output;
+        let bytes = n.to_bytes();
+        let err = Netlist::from_bytes(&bytes).expect_err("a gate reading a later net");
+        (bytes, err)
+    }
+
+    #[test]
+    fn a_gate_reading_its_own_or_a_later_output_is_rejected() {
+        // The sample's g1 is a Nand2 reading g0; g2 is an Inv reading g1.
+        for (gate, src) in [(1, 1), (1, 2), (0, 3), (2, 2)] {
+            let (bytes, err) = decode_with_pin_on(gate, src);
+            let named = format!("gate g{gate} reads");
+            assert!(err.message.contains(&named), "{gate} <- {src}: {err}");
+            assert!(err.message.contains(&format!("driven by g{src}")), "{err}");
+            // The offset is where that gate's record starts: cut there,
+            // the decoder runs out of bytes at the gate's cell kind.
+            let cut = Netlist::from_bytes(&bytes[..err.offset]).expect_err("truncated");
+            assert_eq!(cut.offset, err.offset, "{cut}");
+            assert!(cut.message.contains("cell kind"), "{cut}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random netlists (with buffers put in front of some readers)
+        /// under random byte flips, inserts, deletes and truncations:
+        /// decoding never panics, and whatever decodes keeps the netlist
+        /// invariants, checks `Ok` or `Undriven`, and round-trips
+        /// unchanged.
+        #[test]
+        fn mangled_bytes_decode_to_well_formed_netlists_or_errors(seed in any::<u64>(), gates in 0usize..30, edits in 1usize..4) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (mut n, nets) = random_netlist(&mut rng, gates);
+            if rng.gen_bool(0.5) {
+                let net = nets[rng.gen_range(0..nets.len())];
+                let readers: Vec<(GateId, usize)> = n
+                    .gate_ids()
+                    .filter(|&g| n.gate_inputs(g)[0] == net)
+                    .map(|g| (g, 0))
+                    .collect();
+                n.insert_buffer(net, &readers);
+            }
+            let mut bytes = n.to_bytes();
+            for _ in 0..edits {
+                let at = rng.gen_range(0..=bytes.len());
+                match rng.gen_range(0..4) {
+                    0 if at < bytes.len() => bytes[at] ^= 1 << rng.gen_range(0..8),
+                    1 => bytes.insert(at, rng.gen_range(0..=255u32) as u8),
+                    2 if at < bytes.len() => {
+                        bytes.remove(at);
+                    }
+                    _ => bytes.truncate(at),
+                }
+            }
+            if let Ok(decoded) = Netlist::from_bytes(&bytes) {
+                assert_invariants(&decoded);
+                prop_assert!(matches!(decoded.check(), Ok(()) | Err(crate::NetlistError::Undriven { .. })));
+                let again = Netlist::from_bytes(&decoded.to_bytes()).expect("re-encoding decodes");
+                prop_assert_eq!(format!("{again:?}"), format!("{decoded:?}"));
+            }
+        }
     }
 }

@@ -56,7 +56,7 @@
 use std::time::{Duration, Instant};
 
 use dp_metrics::{FlowMetrics, Recorder, Watchdog, WatchdogTrip};
-use dp_netlist::{CellKind, GateId, IncrementalSta, Library, NetId, Netlist};
+use dp_netlist::{GateId, IncrementalSta, Library, NetId, Netlist};
 
 /// Configuration for [`optimize`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -177,13 +177,9 @@ pub fn optimize(nl: &mut Netlist, lib: &Library, config: &OptConfig) -> OptRepor
     let mut buffers_inserted = 0;
     // Incremental arrival tracker: a sizing candidate is scored by
     // re-propagating only the changed gate's fanout cone instead of a full
-    // timing pass per candidate. `None` only for cyclic netlists, which
-    // the full-pass fallback handles identically.
-    let mut sta = IncrementalSta::new(nl, lib).ok();
-    let mut best = match &sta {
-        Some(s) => s.delay_ns(nl),
-        None => nl.longest_path(lib).delay_ns,
-    };
+    // timing pass per candidate.
+    let mut sta = IncrementalSta::new(nl, lib);
+    let mut best = sta.delay_ns(nl);
     // Effort escalation: when no move helps inside the tight critical
     // window, progressively widen the window (scanning ever more of the
     // netlist) before giving up — the farther a netlist is from its
@@ -213,40 +209,27 @@ pub fn optimize(nl: &mut Netlist, lib: &Library, config: &OptConfig) -> OptRepor
             // Sizing changes only this gate's own delay (the load model
             // keys on the *output* fanout, which sizing leaves alone), so
             // one cone update re-establishes exact arrivals.
-            let now = match sta.as_mut() {
-                Some(s) => {
-                    s.update_gate(nl, lib, g);
-                    s.delay_ns(nl)
-                }
-                None => nl.longest_path(lib).delay_ns,
-            };
+            sta.update_gate(nl, lib, g);
+            let now = sta.delay_ns(nl);
             if now < best - 1e-12 {
                 best = now;
                 gates_sized += 1;
                 improved = true;
             } else {
                 nl.set_drive(g, drive); // revert a useless upsize
-                if let Some(s) = sta.as_mut() {
-                    s.update_gate(nl, lib, g);
-                }
+                sta.update_gate(nl, lib, g);
             }
         }
 
         // Move 2: buffer one heavily loaded critical net.
         if !improved {
             if let Some((g, critical)) = pick_buffer_candidate(nl, lib, window, config) {
-                let before = match &sta {
-                    Some(s) => s.delay_ns(nl),
-                    None => nl.longest_path(lib).delay_ns,
-                };
+                let before = sta.delay_ns(nl);
                 buffer_noncritical_fanout(nl, g, &critical);
                 // Buffer insertion is structural (new gate, rewired pins);
                 // rebuild the tracker. At most one rebuild per iteration.
-                sta = IncrementalSta::new(nl, lib).ok();
-                let now = match &sta {
-                    Some(s) => s.delay_ns(nl),
-                    None => nl.longest_path(lib).delay_ns,
-                };
+                sta = IncrementalSta::new(nl, lib);
+                let now = sta.delay_ns(nl);
                 if now < before - 1e-12 {
                     best = now;
                     buffers_inserted += 1;
@@ -286,14 +269,14 @@ pub fn optimize(nl: &mut Netlist, lib: &Library, config: &OptConfig) -> OptRepor
 /// consumers. The gates themselves become dead and are removed by the
 /// following sweep.
 ///
-/// One pass in a gate topological order reaches the fixpoint: folding is
-/// a forward dataflow problem, so by the time a gate is visited every
-/// replacement affecting its inputs is already recorded. Any topological
-/// order gives the same result, so the pass walks creation order whenever
-/// [`Netlist::creation_order_is_topological`] holds. Replacements live
-/// in a dense union-find table (`repl[n]` = what to read instead of `n`,
-/// with path compression), and consumers are rewired once at the end —
-/// no per-candidate netlist scans, no fixpoint iteration.
+/// One pass in gate-id order, which is topological, reaches the fixpoint:
+/// folding is a forward dataflow problem, so by the time a gate is visited
+/// every replacement affecting its inputs is already recorded.
+/// Replacements live in a dense union-find table (`repl[n]` = what to read
+/// instead of `n`, with path compression), and consumers are rewired once
+/// at the end — no per-candidate netlist scans, no fixpoint iteration.
+/// A consumer is only ever rewired to an upstream root, so gates keep
+/// reading earlier nets.
 pub fn fold_constants(nl: &mut Netlist) {
     let _ = fold_constants_watched(nl, &Watchdog::disabled());
 }
@@ -306,22 +289,8 @@ pub fn fold_constants(nl: &mut Netlist) {
 /// identical to its input. At most some fanout-free constant nets created
 /// during the scan are left behind, and [`Netlist::sweep`] drops them.
 pub fn fold_constants_watched(nl: &mut Netlist, wd: &Watchdog) -> bool {
-    // Creation order needs no order at all; otherwise an owned copy of the
-    // memoized Kahn order, since the scan below adds constant nets (which
-    // keep the order valid) through `&mut`.
-    let kahn = if nl.creation_order_is_topological() {
-        None
-    } else {
-        let Ok(order) = nl.topo_order().map(<[GateId]>::to_vec) else {
-            // A combinational cycle defeats topological scheduling; fall
-            // back to the fixpoint scanner, which needs no order.
-            return fold_sweeping_watched(nl, wd);
-        };
-        Some(order)
-    };
     let mut repl: Vec<NetId> = (0..nl.num_nets()).map(NetId::from_index).collect();
-    for i in 0..nl.num_gates() {
-        let g = kahn.as_ref().map_or(GateId::from_index(i), |order| order[i]);
+    for g in (0..nl.num_gates()).map(GateId::from_index) {
         if wd.check() {
             return false;
         }
@@ -338,7 +307,7 @@ pub fn fold_constants_watched(nl: &mut Netlist, wd: &Watchdog) -> bool {
             let out = nl.gate_output(g);
             if n != out {
                 // `n` is a root and the producers of everything resolvable
-                // were visited earlier in topo order, so this is final.
+                // were visited earlier in gate-id order, so this is final.
                 repl[out.index()] = n;
             }
         }
@@ -388,73 +357,6 @@ fn resolve(repl: &mut Vec<NetId>, n: NetId) -> NetId {
     root
 }
 
-/// The original fixpoint formulation of [`fold_constants`]: repeated full
-/// scans, rewiring after each round until no gate folds. Quadratic in the
-/// worst case, but order-free — it is the fallback for cyclic netlists
-/// and the differential oracle for the topological pass.
-pub fn fold_constants_sweeping(nl: &mut Netlist) {
-    let _ = fold_sweeping_watched(nl, &Watchdog::disabled());
-}
-
-/// Watched core of [`fold_constants_sweeping`]. On a trip the current
-/// round's replacement list is discarded unapplied, so an abort leaves the
-/// netlist exactly as the last *completed* round left it — every applied
-/// rewire came from a full scan and is individually sound.
-fn fold_sweeping_watched(nl: &mut Netlist, wd: &Watchdog) -> bool {
-    loop {
-        let mut replace: Vec<(NetId, NetId)> = Vec::new();
-        for g in nl.gate_ids().collect::<Vec<_>>() {
-            if wd.check() {
-                return false;
-            }
-            let out = nl.gate_output(g);
-            if nl.fanout_of(out) == 0 {
-                continue; // already folded away; the sweep will drop it
-            }
-            let (kind, _) = nl.gate_info(g);
-            let pins = nl.gate_inputs(g);
-            let (a, b) = (pins[0], pins[pins.len() - 1]);
-            if let Some(n) = nl.folded(kind, a, b) {
-                if n != out {
-                    replace.push((out, n));
-                }
-            }
-        }
-        if replace.is_empty() {
-            return true;
-        }
-        for (old, new) in replace {
-            rewire_all(nl, old, new);
-        }
-    }
-}
-
-/// Rewires every consumer (gate pins and output bits) of `old` to `new`.
-fn rewire_all(nl: &mut Netlist, old: NetId, new: NetId) {
-    for g in nl.gate_ids().collect::<Vec<_>>() {
-        for pin in 0..nl.gate_inputs(g).len() {
-            if nl.gate_inputs(g)[pin] == old {
-                nl.rewire_gate_input(g, pin, new);
-            }
-        }
-    }
-    let buses: Vec<(usize, usize)> = nl
-        .outputs()
-        .iter()
-        .enumerate()
-        .flat_map(|(i, (_, bits))| {
-            bits.iter()
-                .enumerate()
-                .filter(|(_, &b)| b == old)
-                .map(|(k, _)| (i, k))
-                .collect::<Vec<_>>()
-        })
-        .collect();
-    for (bus, bit) in buses {
-        nl.rewire_output_bit(bus, bit, new);
-    }
-}
-
 /// Finds a critical gate whose output fanout exceeds the buffering
 /// threshold, returned with the critical set it was picked from.
 fn pick_buffer_candidate(
@@ -474,7 +376,8 @@ fn pick_buffer_candidate(
 
 /// Moves the consumers of `g`'s output that are not in `critical` (the
 /// netlist's current critical set) behind a buffer, reducing the load the
-/// critical path sees.
+/// critical path sees. The buffer takes the gate id after `g`
+/// ([`Netlist::insert_buffer`]), so gate-id order stays topological.
 fn buffer_noncritical_fanout(nl: &mut Netlist, g: GateId, critical: &[GateId]) {
     let net = nl.gate_output(g);
     let mut is_critical = vec![false; nl.num_gates()];
@@ -496,17 +399,14 @@ fn buffer_noncritical_fanout(nl: &mut Netlist, g: GateId, critical: &[GateId]) {
     if movable.len() < 2 {
         return; // nothing worth a buffer
     }
-    let buf = nl.gate(CellKind::Buf, &[net]);
-    for (c, pin) in movable {
-        nl.rewire_gate_input(c, pin, buf);
-    }
+    nl.insert_buffer(net, &movable);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dp_bitvec::BitVec;
-    use proptest::prelude::*;
+    use dp_netlist::CellKind;
 
     fn lib() -> Library {
         Library::synthetic_025um()
@@ -600,6 +500,62 @@ mod tests {
         n
     }
 
+    /// The original fixpoint formulation of [`fold_constants`]: repeated
+    /// full scans, rewiring after each round until no gate folds.
+    /// Quadratic in the worst case, but it needs no order: the
+    /// differential oracle for the one-pass fold.
+    fn fold_constants_sweeping(nl: &mut Netlist) {
+        loop {
+            let mut replace: Vec<(NetId, NetId)> = Vec::new();
+            for g in nl.gate_ids().collect::<Vec<_>>() {
+                let out = nl.gate_output(g);
+                if nl.fanout_of(out) == 0 {
+                    continue; // already folded away; the sweep will drop it
+                }
+                let (kind, _) = nl.gate_info(g);
+                let pins = nl.gate_inputs(g);
+                let (a, b) = (pins[0], pins[pins.len() - 1]);
+                if let Some(n) = nl.folded(kind, a, b) {
+                    if n != out {
+                        replace.push((out, n));
+                    }
+                }
+            }
+            if replace.is_empty() {
+                return;
+            }
+            for (old, new) in replace {
+                rewire_all(nl, old, new);
+            }
+        }
+    }
+
+    /// Rewires every consumer (gate pins and output bits) of `old` to `new`.
+    fn rewire_all(nl: &mut Netlist, old: NetId, new: NetId) {
+        for g in nl.gate_ids().collect::<Vec<_>>() {
+            for pin in 0..nl.gate_inputs(g).len() {
+                if nl.gate_inputs(g)[pin] == old {
+                    nl.rewire_gate_input(g, pin, new);
+                }
+            }
+        }
+        let buses: Vec<(usize, usize)> = nl
+            .outputs()
+            .iter()
+            .enumerate()
+            .flat_map(|(i, (_, bits))| {
+                bits.iter()
+                    .enumerate()
+                    .filter(|(_, &b)| b == old)
+                    .map(|(k, _)| (i, k))
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        for (bus, bit) in buses {
+            nl.rewire_output_bit(bus, bit, new);
+        }
+    }
+
     #[test]
     fn topological_fold_matches_sweeping_oracle() {
         // The single topological pass must land on the exact same swept
@@ -622,39 +578,6 @@ mod tests {
                     "seed {seed} v {v}"
                 );
             }
-        }
-    }
-
-    /// A copy of `n` whose order-free passes take the Kahn fallback: a
-    /// rewire onto the gate's own output marks a back edge, and rewiring
-    /// back restores the structure but (conservatively) not the mark.
-    fn forced_kahn(n: &Netlist) -> Netlist {
-        let mut forced = n.clone();
-        let g = GateId::from_index(0);
-        let pin0 = forced.gate_inputs(g)[0];
-        forced.rewire_gate_input(g, 0, forced.gate_output(g));
-        forced.rewire_gate_input(g, 0, pin0);
-        assert!(!forced.creation_order_is_topological());
-        forced
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(128))]
-
-        /// The fold walks creation order on a netlist built in order and
-        /// the Kahn order otherwise; after the sweep both land on the
-        /// same netlist bit for bit (before it, only the ids of the
-        /// constant nets the fold creates may differ). Folding rewires to
-        /// upstream roots only, so it keeps creation order topological.
-        #[test]
-        fn creation_order_fold_matches_the_kahn_order_fold(seed in any::<u64>(), gates in 1usize..80) {
-            let base = random_netlist(seed, gates);
-            let mut fast = base.clone();
-            let mut forced = forced_kahn(&base);
-            fold_constants(&mut fast);
-            fold_constants(&mut forced);
-            prop_assert!(fast.creation_order_is_topological());
-            prop_assert_eq!(format!("{:?}", fast.sweep()), format!("{:?}", forced.sweep()));
         }
     }
 
@@ -683,32 +606,6 @@ mod tests {
             fold_constants(&mut plain);
             assert_eq!(format!("{watched:?}"), format!("{plain:?}"), "seed {seed}");
         }
-    }
-
-    #[test]
-    fn watched_fold_covers_the_cyclic_fallback() {
-        // A combinational cycle defeats topo_order, sending the watched
-        // fold through the sweeping fallback.
-        let build = || {
-            let mut n = Netlist::new();
-            let a = n.input("a", 1)[0];
-            let b1 = n.gate(CellKind::Buf, &[a]);
-            let b2 = n.gate(CellKind::Buf, &[b1]);
-            let g1 = n.driver_gate(b1).expect("buf exists");
-            n.rewire_gate_input(g1, 0, b2); // b1 = Buf(b2) = Buf(Buf(b1))
-            let one = n.const1();
-            let x = n.gate(CellKind::And2, &[a, one]);
-            n.output("o", vec![x]);
-            (n, a)
-        };
-        let (mut aborted, _) = build();
-        let before = format!("{aborted:?}");
-        let wd = Watchdog::new(Some(Instant::now()), None);
-        assert!(!fold_constants_watched(&mut aborted, &wd));
-        assert_eq!(format!("{aborted:?}"), before, "cyclic abort must not rewire anything");
-        let (mut folded, a) = build();
-        assert!(fold_constants_watched(&mut folded, &Watchdog::disabled()));
-        assert_eq!(folded.outputs()[0].1[0], a, "And2 with const 1 wires through");
     }
 
     #[test]

@@ -97,8 +97,6 @@ pub enum Code {
     C004,
     /// A net has no driver.
     N001,
-    /// The gate network contains a combinational cycle.
-    N002,
     /// The netlist's port interface differs from the DFG's.
     N003,
     /// A gate drives nothing: not a primary output and no consumers.
@@ -144,7 +142,7 @@ impl Code {
             I003 | I004 => Severity::Warn,
             I005 => Severity::Info,
             C001 | C002 | C003 | C004 => Severity::Error,
-            N001 | N002 | N003 | N005 => Severity::Error,
+            N001 | N003 | N005 => Severity::Error,
             N004 => Severity::Warn,
             A001 | A002 => Severity::Error,
             A003 => Severity::Warn,
@@ -177,7 +175,6 @@ impl Code {
             C003 => "cluster merges across a break node",
             C004 => "truncate-then-extend inside a cluster",
             N001 => "undriven net",
-            N002 => "combinational cycle in netlist",
             N003 => "netlist interface differs from the design",
             N004 => "dangling gate",
             N005 => "fanout bookkeeping mismatch",

@@ -21,7 +21,7 @@
 //! | `R0xx` | required precision | RP recomputation vs widths, fixpoint |
 //! | `I0xx` | information content | bound well-formedness, extension nodes |
 //! | `C0xx` | cluster legality | break-node audit, synthesizability |
-//! | `N0xx` | netlist | drivers, cycles, interface, fanout bookkeeping |
+//! | `N0xx` | netlist | drivers, interface, dangling gates, fanout bookkeeping |
 //! | `A0xx` | abstract interpretation | demand ⊆ RP, IC entailment, static diagnostics |
 //!
 //! Strictness: checks that only hold *after* [`optimize_widths`] has run to

@@ -1,7 +1,6 @@
 //! `N0xx`: gate-level netlist checks.
 //!
 //! - **N001** (error): an undriven net ([`Netlist::check`]).
-//! - **N002** (error): a combinational cycle ([`Netlist::check`]).
 //! - **N003** (error): the netlist's port interface (bus names, widths,
 //!   order) disagrees with the DFG it claims to implement.
 //! - **N004** (warning): a gate whose output drives nothing — dead logic
@@ -27,18 +26,8 @@ impl Pass for NetlistChecks {
     fn run(&self, cx: &Context<'_>, out: &mut Vec<Diagnostic>) {
         let Some(nl) = cx.netlist else { return };
 
-        match nl.check() {
-            Ok(()) => {}
-            Err(NetlistError::Undriven { net }) => {
-                out.push(Diagnostic::new(Code::N001, Location::Net(net), "net has no driver"));
-            }
-            Err(NetlistError::Cyclic) => {
-                out.push(Diagnostic::new(
-                    Code::N002,
-                    Location::Global,
-                    "netlist contains a combinational cycle",
-                ));
-            }
+        if let Err(NetlistError::Undriven { net }) = nl.check() {
+            out.push(Diagnostic::new(Code::N001, Location::Net(net), "net has no driver"));
         }
 
         // N003: the netlist must present the same interface as the graph.

@@ -161,7 +161,9 @@ echo "==> unwrap/expect lint (non-test code of src/ and core crates)"
 # PR9: +2 for the dense SignalTable lookups in dp-synth (cluster.rs,
 # flow.rs) — "every signal source is synthesized before its readers" is
 # the topological-order invariant of the synthesis loop.
-EXPECT_BUDGET=39
+# Lowered to the count once netlists became acyclic by construction and
+# the three "acyclic netlist" expects of sweep and STA went with it.
+EXPECT_BUDGET=33
 lint_scope="src crates/analysis/src crates/merge/src crates/synth/src crates/netlist/src"
 unwraps=0; expects=0
 for f in $(find $lint_scope -name '*.rs'); do
