@@ -7,9 +7,9 @@
 //!
 //! * [`Recorder`]/[`SpanRecord`] — hierarchical wall-clock timing spans.
 //!   Instrumented entry points (`optimize_widths_budgeted_with`,
-//!   `refine_clusters_with`, `run_flow_guarded_with`, `Verifier::run_with`)
+//!   `refine_clusters_with`, `run_flow_guarded_with`, `dp_verify::verify_with`)
 //!   accept a recorder and tag each phase: width-pipeline rounds and passes,
-//!   clustering rounds, CSA-tree synthesis, verifier passes. The plain
+//!   clustering rounds, CSA-tree synthesis, verifier checks. The plain
 //!   wrappers pass [`Recorder::disabled`], which costs nothing.
 //! * [`FlowMetrics`] — QoR counters for one flow over one design: widths
 //!   before/after, cluster/break-node counts, CSA depth, CPA count, gate

@@ -8,22 +8,25 @@
 //! stage's artifact before building on it:
 //!
 //! 1. **Widths** — the budgeted pipeline
-//!    ([`optimize_widths_budgeted_with`]) must finish within budget, keep
-//!    the graph structurally valid, pass the `dp_verify` RP/IC audits,
-//!    and stay functionally equivalent to the input design under
+//!    ([`optimize_widths_budgeted_with`]) must finish within budget, pass
+//!    the `dp_verify` graph audit (structural validity, RP, IC and absint
+//!    checks), and stay functionally equivalent to the input design under
 //!    differential evaluation. On failure the flow rolls back to the
 //!    provably-legal **Theorem 4.2 widths only**
 //!    ([`optimize_widths_rp_only_with`]), and to the untransformed design
 //!    if even those fail.
-//! 2. **Clustering** — must pass [`Clustering::validate`] and the
-//!    cluster-legality audit. On failure the flow retreats to **singleton
-//!    clusters** (one carry-propagate adder per operator — always legal).
+//! 2. **Clustering** — must pass the `dp_verify` clustering audit
+//!    (structural fit and break-node legality). On failure the flow
+//!    retreats to **singleton clusters** (one carry-propagate adder per
+//!    operator — always legal).
 //! 3. **Netlist** — must pass [`dp_netlist::Netlist::check`] and
 //!    differential simulation against the input design. On failure the
 //!    flow descends the same ladder: singleton clusters first, then the
 //!    raw design.
 //!
-//! Both differential audits share one [`Equiv`] oracle.
+//! Both differential audits share one [`Equiv`] oracle. The `dp_verify`
+//! reports of the shipped graph and clustering travel with the result as
+//! [`GuardedFlow::verdicts`], so the post-flow audit does not repeat them.
 //!
 //! Every retreat is recorded as a [`Degradation`] step in a
 //! [`DegradationReport`], mirrored into
@@ -45,6 +48,7 @@ use dp_dfg::Dfg;
 use dp_merge::{cluster_leakage, cluster_none, refine_clusters_with, Clustering, MergeReport};
 use dp_metrics::{FlowMetrics, Recorder, Watchdog};
 use dp_trace::{Rule, Subject, TraceLog};
+use dp_verify::{Context, Verdicts, VerifyReport};
 
 use crate::equiv::Equiv;
 use crate::flow::{synthesize_watched, widths, FlowResult, MergeStrategy, SynthError};
@@ -153,6 +157,11 @@ pub struct DegradationReport {
 }
 
 impl DegradationReport {
+    /// Records one retreat.
+    fn push(&mut self, stage: &'static str, reason: String, fallback: Fallback) {
+        self.steps.push(Degradation { stage, reason, fallback });
+    }
+
     /// The `FALLBACK-*` tags of the steps, in order (as mirrored into
     /// [`FlowMetrics::fallbacks`]).
     pub fn tags(&self) -> Vec<String> {
@@ -179,6 +188,10 @@ pub struct GuardedFlow {
     pub flow: FlowResult,
     /// The retreats taken, or `None` for a fully healthy run.
     pub degradation: Option<DegradationReport>,
+    /// The `dp_verify` reports of the graph and clustering audits whose
+    /// artifact shipped at the strictness it was audited at: strict only
+    /// for a new-merge flow that did not degrade.
+    pub verdicts: Verdicts,
 }
 
 /// Stage-boundary hooks for deterministic fault injection (the `dp-fault`
@@ -330,6 +343,7 @@ fn drive(
     let mut graph = g.clone();
     let mut transform = TransformReport { converged: true, ..TransformReport::default() };
     let mut raw = true;
+    let mut verdicts = Verdicts::default();
     if strategy == MergeStrategy::New {
         let span = rec.span("guarded widths");
         transform = optimize_widths_budgeted_with(&mut graph, &budget.pipeline, rec, tr);
@@ -342,19 +356,26 @@ fn drive(
         if let Some(b) = transform.budget_breach.filter(|b| b.is_supervision()) {
             return Err(SynthError::Budget(b.to_string()));
         }
-        if let Some(reason) = audit_widths(g, &graph, &transform, &oracle, true) {
-            let abandoned = graph.total_op_width();
-            report.steps.push(Degradation { stage: "widths", reason, fallback: Fallback::RpOnly });
-            graph = g.clone();
-            transform = optimize_widths_rp_only_with(&mut graph, tr);
-            tr.emit(Rule::FallbackRpOnly, subject, abandoned, graph.total_op_width());
-            if let Some(reason) = audit_widths(g, &graph, &transform, &oracle, false) {
+        match audit_widths(g, &graph, &transform, &oracle, true) {
+            Ok(verdict) => verdicts.graph = Some(verdict),
+            Err(reason) => {
                 let abandoned = graph.total_op_width();
-                report.steps.push(Degradation { stage: "widths", reason, fallback: Fallback::Raw });
+                report.push("widths", reason, Fallback::RpOnly);
                 graph = g.clone();
-                transform = TransformReport { converged: true, ..TransformReport::default() };
-                raw = true;
-                tr.emit(Rule::FallbackRaw, subject, abandoned, graph.total_op_width());
+                transform = optimize_widths_rp_only_with(&mut graph, tr);
+                tr.emit(Rule::FallbackRpOnly, subject, abandoned, graph.total_op_width());
+                match audit_widths(g, &graph, &transform, &oracle, false) {
+                    Ok(verdict) => verdicts.graph = Some(verdict),
+                    Err(reason) => {
+                        let abandoned = graph.total_op_width();
+                        report.push("widths", reason, Fallback::Raw);
+                        graph = g.clone();
+                        transform =
+                            TransformReport { converged: true, ..TransformReport::default() };
+                        raw = true;
+                        tr.emit(Rule::FallbackRaw, subject, abandoned, graph.total_op_width());
+                    }
+                }
             }
         }
         rec.finish(span);
@@ -379,17 +400,16 @@ fn drive(
         }
     };
     hook.after_clustering(&graph, &mut clustering);
-    if let Some(reason) = audit_clustering(&graph, &clustering, at_fixpoint) {
-        let abandoned = clustering.len();
-        clustering = cluster_none(&graph);
-        tr.emit(Rule::FallbackSingleton, subject, abandoned, clustering.len());
-        report.steps.push(Degradation {
-            stage: "clustering",
-            reason,
-            fallback: Fallback::Singleton,
-        });
-        if let Some(m) = merge.as_mut() {
-            m.break_nodes = 0;
+    match audit_clustering(&graph, &clustering, at_fixpoint) {
+        Ok(verdict) => verdicts.clustering = Some(verdict),
+        Err(reason) => {
+            let abandoned = clustering.len();
+            clustering = cluster_none(&graph);
+            tr.emit(Rule::FallbackSingleton, subject, abandoned, clustering.len());
+            report.push("clustering", reason, Fallback::Singleton);
+            if let Some(m) = merge.as_mut() {
+                m.break_nodes = 0;
+            }
         }
     }
     rec.finish(span);
@@ -417,15 +437,12 @@ fn drive(
             Err(e) => {
                 let reason = e.to_string();
                 let singleton = clustering.clusters.iter().all(|c| c.len() == 1);
+                verdicts.clustering = None;
                 if !singleton {
                     let abandoned = clustering.len();
                     clustering = cluster_none(&graph);
                     tr.emit(Rule::FallbackSingleton, subject, abandoned, clustering.len());
-                    report.steps.push(Degradation {
-                        stage: "netlist",
-                        reason,
-                        fallback: Fallback::Singleton,
-                    });
+                    report.push("netlist", reason, Fallback::Singleton);
                     if let Some(m) = merge.as_mut() {
                         m.break_nodes = 0;
                     }
@@ -436,11 +453,7 @@ fn drive(
                     clustering = cluster_none(&graph);
                     raw = true;
                     tr.emit(Rule::FallbackRaw, subject, abandoned, graph.total_op_width());
-                    report.steps.push(Degradation {
-                        stage: "netlist",
-                        reason,
-                        fallback: Fallback::Raw,
-                    });
+                    report.push("netlist", reason, Fallback::Raw);
                     if let Some(m) = merge.as_mut() {
                         *m = MergeReport { transform: transform.clone(), ..MergeReport::default() };
                     }
@@ -452,6 +465,12 @@ fn drive(
     };
     rec.finish(whole);
     let (netlist, csa) = outcome?;
+    // The graph verdict holds only for the graph shipped, at the
+    // strictness shipped: not after a retreat to the raw design, nor, when
+    // it was strict, after any later retreat.
+    if raw || (at_fixpoint && !report.steps.is_empty()) {
+        verdicts.graph = None;
+    }
 
     let (node_width_after, edge_width_after) = widths(&graph);
     let mut metrics = FlowMetrics {
@@ -480,51 +499,51 @@ fn drive(
     }
     let flow = FlowResult { netlist, clustering, graph, strategy, merge, metrics };
     let degradation = if report.steps.is_empty() { None } else { Some(report) };
-    Ok(GuardedFlow { flow, degradation })
+    Ok(GuardedFlow { flow, degradation, verdicts })
 }
 
-/// Audits a width-transformed graph against the input design. Returns the
-/// first failure, or `None` when the artifact is safe to build on.
-/// `at_fixpoint` arms the strict post-fixpoint `dp_verify` invariants —
-/// only valid for the full RP+IC pipeline, not the RP-only rollback.
+/// Audits a width-transformed graph against the input design: the
+/// `dp_verify` graph report when the artifact is safe to build on, else
+/// the first failure. `at_fixpoint` arms the strict post-fixpoint
+/// invariants — only valid for the full RP+IC pipeline, not the RP-only
+/// rollback.
 fn audit_widths(
     base: &Dfg,
     graph: &Dfg,
     transform: &TransformReport,
     oracle: &Equiv,
     at_fixpoint: bool,
-) -> Option<String> {
+) -> Result<VerifyReport, String> {
     if let Some(b) = transform.budget_breach {
-        return Some(format!("width pipeline stopped early: {b} budget hit"));
+        return Err(format!("width pipeline stopped early: {b} budget hit"));
     }
     if !transform.converged {
-        return Some("width pipeline did not converge".to_string());
+        return Err("width pipeline did not converge".to_string());
     }
-    if let Err(e) = graph.validate() {
-        return Some(format!("transformed graph invalid: {e}"));
+    let cx = Context::new(graph).baseline(base).transform(transform).optimized(at_fixpoint);
+    let verdict = dp_verify::verify_graph(&cx);
+    if verdict.has_errors() {
+        return Err(format!("verifier rejected widths: {}", first_error(&verdict, graph)));
     }
-    let cx =
-        dp_verify::Context::new(graph).baseline(base).transform(transform).optimized(at_fixpoint);
-    let diags = dp_verify::Verifier::default().run(&cx);
-    if diags.has_errors() {
-        return Some(format!("verifier rejected widths: {}", first_error(&diags, graph)));
+    match oracle.graph_mismatch(graph) {
+        Some(m) => Err(m.describe("transformed graph", base)),
+        None => Ok(verdict),
     }
-    oracle.graph_mismatch(graph).map(|m| m.describe("transformed graph", base))
 }
 
-/// Audits a clustering for structural fit and break-node legality.
-fn audit_clustering(graph: &Dfg, clustering: &Clustering, at_fixpoint: bool) -> Option<String> {
-    if let Err(e) = clustering.validate(graph) {
-        return Some(format!("clustering invalid: {e}"));
+/// Audits a clustering for structural fit and break-node legality: the
+/// `dp_verify` clustering report, or the first failure.
+fn audit_clustering(
+    graph: &Dfg,
+    clustering: &Clustering,
+    at_fixpoint: bool,
+) -> Result<VerifyReport, String> {
+    let cx = Context::new(graph).clustering(clustering).optimized(at_fixpoint);
+    let verdict = dp_verify::verify_clustering(&cx);
+    if verdict.has_errors() {
+        return Err(format!("verifier rejected clustering: {}", first_error(&verdict, graph)));
     }
-    let cx = dp_verify::Context::new(graph).clustering(clustering).optimized(at_fixpoint);
-    let mut v = dp_verify::Verifier::new();
-    v.register(Box::new(dp_verify::ClusterLegality));
-    let diags = v.run(&cx);
-    if diags.has_errors() {
-        return Some(format!("verifier rejected clustering: {}", first_error(&diags, graph)));
-    }
-    None
+    Ok(verdict)
 }
 
 /// Renders the limit a tripped watchdog hit (for [`SynthError::Budget`]).
@@ -534,7 +553,7 @@ fn supervision_limit(wd: &Watchdog) -> String {
 
 /// Renders the worst diagnostic of a verify report (reports are sorted
 /// worst-first, so the first entry is an error whenever any exists).
-fn first_error(diags: &dp_verify::VerifyReport, g: &Dfg) -> String {
+fn first_error(diags: &VerifyReport, g: &Dfg) -> String {
     diags.diagnostics().first().map_or_else(|| "unknown".to_string(), |d| d.render(g))
 }
 

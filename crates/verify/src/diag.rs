@@ -31,13 +31,14 @@ impl fmt::Display for Severity {
     }
 }
 
-/// Every diagnostic code the bundled passes can emit.
+/// Every diagnostic code the checks can emit.
 ///
 /// Families: `V` structural validity, `R` required precision, `I`
 /// information content, `C` cluster legality, `N` netlist consistency,
 /// `A` abstract-interpretation cross-checks.
-/// Each code has a fixed [`Severity`] so tooling can rely on it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Each code has a fixed [`Severity`] so tooling can rely on it. Codes
+/// order by family in that sequence, then by number.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[allow(clippy::upper_case_acronyms)]
 pub enum Code {
     /// The graph contains a directed cycle.
@@ -150,6 +151,14 @@ impl Code {
         }
     }
 
+    /// The family's place in run order: `V`, `R`, `I`, `C`, `N`, `A`.
+    pub(crate) fn family(self) -> usize {
+        [Code::R001, Code::I001, Code::C001, Code::N001, Code::A001]
+            .iter()
+            .filter(|&&first| first <= self)
+            .count()
+    }
+
     /// One-line description, as used in the README's code table.
     pub fn describe(self) -> &'static str {
         use Code::*;
@@ -225,7 +234,7 @@ impl fmt::Display for Location {
     }
 }
 
-/// One finding from a verifier pass.
+/// One finding of a check.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
     /// The stable code (fixes the severity).

@@ -9,20 +9,26 @@
 //! in any transformation surfaces as a named, located finding instead of a
 //! silent mis-synthesis.
 //!
-//! A [`Verifier`] runs an ordered set of [`Pass`]es over a [`Context`]
-//! holding the graph under scrutiny plus whatever optional artifacts exist:
-//! the pre-transformation baseline, the [`Clustering`], the synthesized
-//! [`Netlist`], and the width pipeline's [`TransformReport`]. The bundled
-//! passes cover five families of checks:
+//! Each audit covers one artifact of a [`Context`], which holds the graph
+//! under scrutiny plus whatever optional artifacts exist: the
+//! pre-transformation baseline, the [`Clustering`], the synthesized
+//! [`Netlist`], and the width pipeline's [`TransformReport`]. The checks
+//! fall into six families:
 //!
-//! | family | pass | checks |
-//! |--------|------|--------|
-//! | `V0xx` | structural | DFG validity (cycles, arity, ports, fanout) |
-//! | `R0xx` | required precision | RP recomputation vs widths, fixpoint |
-//! | `I0xx` | information content | bound well-formedness, extension nodes |
-//! | `C0xx` | cluster legality | break-node audit, synthesizability |
+//! | family | audit | checks |
+//! |--------|-------|--------|
+//! | `V0xx` | graph | DFG validity (cycles, arity, ports, fanout) |
+//! | `R0xx` | graph | RP recomputation vs widths, fixpoint |
+//! | `I0xx` | graph | bound well-formedness, extension nodes |
+//! | `C0xx` | clustering | break-node audit, synthesizability |
 //! | `N0xx` | netlist | drivers, interface, dangling gates, fanout bookkeeping |
-//! | `A0xx` | abstract interpretation | demand ⊆ RP, IC entailment, static diagnostics |
+//! | `A0xx` | graph | demand ⊆ RP, IC entailment, static diagnostics |
+//!
+//! [`verify_graph`] and [`verify_clustering`] audit one artifact each; the
+//! guarded flow calls them on the widths and the clustering it builds on.
+//! [`verify_with`] audits what earlier [`Verdicts`] do not cover — the
+//! netlist always — and folds those verdicts in, so a flow audits each
+//! artifact once. [`verify`] audits everything.
 //!
 //! Strictness: checks that only hold *after* [`optimize_widths`] has run to
 //! a fixpoint (e.g. `r(p) <= w(n)`, "no edge wider than its source") are
@@ -31,7 +37,7 @@
 //!
 //! ```
 //! use dp_bitvec::Signedness::Unsigned;
-//! use dp_verify::{Context, Verifier};
+//! use dp_verify::{verify, Context};
 //! use dp_analysis::optimize_widths;
 //!
 //! let mut g = dp_dfg::Dfg::new();
@@ -41,9 +47,8 @@
 //! g.output("o", 5, s, Unsigned);
 //! let baseline = g.clone();
 //! let report = optimize_widths(&mut g);
-//! let diags = Verifier::default().run(
-//!     &Context::new(&g).baseline(&baseline).transform(&report).optimized(true),
-//! );
+//! let diags =
+//!     verify(&Context::new(&g).baseline(&baseline).transform(&report).optimized(true));
 //! assert!(!diags.has_errors(), "{}", diags.render(&g));
 //! ```
 //!
@@ -62,14 +67,12 @@ use dp_metrics::Recorder;
 use dp_netlist::Netlist;
 
 pub use diag::{Code, Diagnostic, Location, Severity};
-pub use passes::{
-    AbsintChecks, ClusterLegality, IcSoundness, NetlistChecks, RpSoundness, StructuralValidity,
-};
+pub use passes::absint::finding_code;
 
 /// Everything a verification run can look at.
 ///
-/// Only [`Context::graph`] is mandatory; passes skip checks whose inputs
-/// are absent. Build with [`Context::new`] and the chained setters.
+/// Only [`Context::graph`] is mandatory; checks whose inputs are absent
+/// report nothing. Build with [`Context::new`] and the chained setters.
 #[derive(Clone, Copy)]
 pub struct Context<'a> {
     /// The graph under scrutiny (usually post-transformation).
@@ -85,7 +88,7 @@ pub struct Context<'a> {
     /// The width pipeline's report (`R004` convergence check).
     pub transform: Option<&'a TransformReport>,
     /// Intrinsic information-content overrides the flow applied (Huffman
-    /// rebalancing — or a fault injection). When set, the `A0xx` pass
+    /// rebalancing — or a fault injection). When set, the `A0xx` check
     /// audits the IC analysis *under these overrides* instead of a clean
     /// recomputation, so a planted lie is checked rather than discarded.
     pub ic_overrides: Option<&'a dp_analysis::IntrinsicOverrides>,
@@ -134,7 +137,7 @@ impl<'a> Context<'a> {
     }
 
     /// Attaches the intrinsic IC overrides the flow ran under, so the
-    /// `A0xx` pass audits the bounds actually used.
+    /// `A0xx` check audits the bounds actually used.
     pub fn ic_overrides(mut self, overrides: &'a dp_analysis::IntrinsicOverrides) -> Self {
         self.ic_overrides = Some(overrides);
         self
@@ -147,96 +150,113 @@ impl<'a> Context<'a> {
     }
 }
 
-/// One checker: examines the context and appends diagnostics.
-pub trait Pass {
-    /// Short stable name, for logs and pass selection.
-    fn name(&self) -> &'static str;
-
-    /// Whether this pass requires a structurally valid graph. The verifier
-    /// skips such passes when validation failed — analysis on a cyclic or
-    /// mis-ported graph would panic, and the `V0xx` diagnostics already
-    /// tell the story.
-    fn needs_valid_graph(&self) -> bool {
-        true
-    }
-
-    /// Runs the checks, pushing findings onto `out`.
-    fn run(&self, cx: &Context<'_>, out: &mut Vec<Diagnostic>);
+/// The artifact a check audits.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Artifact {
+    Graph,
+    Clustering,
+    Netlist,
 }
 
-/// An ordered registry of [`Pass`]es.
-///
-/// [`Verifier::default`] installs the five bundled passes; [`Verifier::new`]
-/// starts empty for custom pipelines.
-pub struct Verifier {
-    passes: Vec<Box<dyn Pass>>,
-}
+/// A check: examines the context and appends diagnostics.
+type Check = fn(&Context<'_>, &mut Vec<Diagnostic>);
 
-impl Default for Verifier {
-    fn default() -> Self {
-        let mut v = Verifier::new();
-        v.register(Box::new(StructuralValidity));
-        v.register(Box::new(RpSoundness));
-        v.register(Box::new(IcSoundness));
-        v.register(Box::new(ClusterLegality));
-        v.register(Box::new(NetlistChecks));
-        v.register(Box::new(AbsintChecks));
-        v
-    }
-}
+/// Every check after the structural one, in run order, with its span name
+/// and the artifact it audits. Each family comes from one check, so a
+/// report lists a severity's findings family by family.
+const CHECKS: [(&str, Artifact, Check); 5] = [
+    ("rp-soundness", Artifact::Graph, passes::rp::check),
+    ("ic-soundness", Artifact::Graph, passes::ic::check),
+    ("cluster-legality", Artifact::Clustering, passes::cluster::check),
+    ("netlist", Artifact::Netlist, passes::netlist::check),
+    ("absint-checks", Artifact::Graph, passes::absint::check),
+];
 
-impl Verifier {
-    /// An empty verifier with no passes.
-    pub fn new() -> Self {
-        Verifier { passes: Vec::new() }
-    }
-
-    /// Appends a pass; passes run in registration order.
-    pub fn register(&mut self, pass: Box<dyn Pass>) {
-        self.passes.push(pass);
-    }
-
-    /// The registered pass names, in run order.
-    pub fn pass_names(&self) -> Vec<&'static str> {
-        self.passes.iter().map(|p| p.name()).collect()
-    }
-
-    /// Runs every applicable pass and collects the findings.
-    ///
-    /// Passes that need a valid graph are skipped when structural
-    /// validation fails, so a broken graph yields its `V0xx` diagnostics
-    /// instead of a panic inside an analysis.
-    pub fn run(&self, cx: &Context<'_>) -> VerifyReport {
-        self.run_with(cx, &mut Recorder::disabled())
-    }
-
-    /// [`Verifier::run`] with timing spans: one `verify` root containing
-    /// one child span per executed pass, named after [`Pass::name`].
-    /// Skipped passes record no span.
-    pub fn run_with(&self, cx: &Context<'_>, rec: &mut Recorder) -> VerifyReport {
-        let whole = rec.span("verify");
-        let graph_ok = cx.graph.validate().is_ok();
-        let mut diagnostics = Vec::new();
-        for pass in &self.passes {
-            if pass.needs_valid_graph() && !graph_ok {
-                continue;
+/// Runs the checks of the artifacts `audit` selects, in run order, with
+/// one span per check. On a structurally invalid graph only the
+/// structural check runs: analysis on a cyclic or mis-ported graph would
+/// panic, and the `V0xx` diagnostics already tell the story.
+fn run(cx: &Context<'_>, audit: impl Fn(Artifact) -> bool, rec: &mut Recorder) -> Vec<Diagnostic> {
+    let mut out = Vec::new();
+    let valid = if audit(Artifact::Graph) {
+        rec.scope("structural", |_| passes::structural::check(cx, &mut out))
+    } else {
+        cx.graph.validate().is_ok()
+    };
+    if valid {
+        for (name, artifact, check) in CHECKS {
+            if audit(artifact) {
+                rec.scope(name, |_| check(cx, &mut out));
             }
-            rec.scope(pass.name(), |_| pass.run(cx, &mut diagnostics));
         }
-        rec.finish(whole);
-        // Worst first; stable within a severity so pass order is kept.
-        diagnostics.sort_by_key(|d| std::cmp::Reverse(d.severity()));
-        VerifyReport { diagnostics }
     }
+    out
 }
 
-/// The findings of one [`Verifier::run`], worst first.
+/// Audits the graph: structural validity, required-precision and
+/// information-content soundness, and the abstract-interpretation
+/// cross-checks.
+pub fn verify_graph(cx: &Context<'_>) -> VerifyReport {
+    VerifyReport::new(run(cx, |a| a == Artifact::Graph, &mut Recorder::disabled()))
+}
+
+/// Audits the clustering (`C0xx`); reports nothing for a context without
+/// one.
+pub fn verify_clustering(cx: &Context<'_>) -> VerifyReport {
+    VerifyReport::new(run(cx, |a| a == Artifact::Clustering, &mut Recorder::disabled()))
+}
+
+/// The reports of audits already run on a context's graph and clustering,
+/// for [`verify_with`] to take instead of re-running those checks.
+#[derive(Debug, Clone, Default)]
+pub struct Verdicts {
+    /// A [`verify_graph`] report, if the graph was audited.
+    pub graph: Option<VerifyReport>,
+    /// A [`verify_clustering`] report, if the clustering was audited.
+    pub clustering: Option<VerifyReport>,
+}
+
+/// Audits every artifact of `cx` that `verdicts` holds no report for — the
+/// netlist always — under one `verify` span with a child span per check
+/// run, and folds the verdicts in. When each verdict is its artifact's
+/// audit under the same context, the result equals [`verify`]'s.
+pub fn verify_with(cx: &Context<'_>, verdicts: &Verdicts, rec: &mut Recorder) -> VerifyReport {
+    let whole = rec.span("verify");
+    let mut diagnostics = run(
+        cx,
+        |a| match a {
+            Artifact::Graph => verdicts.graph.is_none(),
+            Artifact::Clustering => verdicts.clustering.is_none(),
+            Artifact::Netlist => true,
+        },
+        rec,
+    );
+    rec.finish(whole);
+    for verdict in verdicts.graph.iter().chain(&verdicts.clustering) {
+        diagnostics.extend_from_slice(verdict.diagnostics());
+    }
+    VerifyReport::new(diagnostics)
+}
+
+/// Audits every artifact of `cx` — the one-call entry point.
+pub fn verify(cx: &Context<'_>) -> VerifyReport {
+    verify_with(cx, &Verdicts::default(), &mut Recorder::disabled())
+}
+
+/// The findings of one audit, worst first.
 #[derive(Debug, Clone, Default)]
 pub struct VerifyReport {
     diagnostics: Vec<Diagnostic>,
 }
 
 impl VerifyReport {
+    /// Sorts worst first, and within a severity family by family in run
+    /// order; stable, so a check's findings keep their order.
+    fn new(mut diagnostics: Vec<Diagnostic>) -> Self {
+        diagnostics.sort_by_key(|d| (std::cmp::Reverse(d.severity()), d.code.family()));
+        VerifyReport { diagnostics }
+    }
+
     /// All findings, sorted worst-first.
     pub fn diagnostics(&self) -> &[Diagnostic] {
         &self.diagnostics
@@ -255,11 +275,6 @@ impl VerifyReport {
     /// Whether any finding carries the given code.
     pub fn has_code(&self, code: Code) -> bool {
         self.diagnostics.iter().any(|d| d.code == code)
-    }
-
-    /// The findings carrying the given code.
-    pub fn with_code(&self, code: Code) -> impl Iterator<Item = &Diagnostic> {
-        self.diagnostics.iter().filter(move |d| d.code == code)
     }
 
     /// `"E error(s), W warning(s), I info(s)"`.
@@ -283,7 +298,56 @@ impl VerifyReport {
     }
 }
 
-/// Runs the default verifier over a context — the one-call entry point.
-pub fn verify(cx: &Context<'_>) -> VerifyReport {
-    Verifier::default().run(cx)
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dp_bitvec::{BitVec, Signedness::Unsigned};
+    use dp_dfg::OpKind;
+    use dp_merge::{cluster_none, Cluster};
+    use dp_netlist::CellKind;
+
+    /// Verdicts fold in where a full audit lists them: findings of every
+    /// artifact at the same severity, a netlist checked between the graph's
+    /// RP and absint checks, and only the netlist check re-run.
+    #[test]
+    fn verdicts_fold_in_where_a_full_audit_lists_them() {
+        // A dead operator (R005 info) and a constant output (A003 warning).
+        let mut g = Dfg::new();
+        let a = g.input("a", 4);
+        let s = g.op(OpKind::Add, 5, &[(a, Unsigned), (a, Unsigned)]);
+        let m = g.op(OpKind::Mul, 9, &[(s, Unsigned), (a, Unsigned)]);
+        g.output("o", 9, m, Unsigned);
+        g.op(OpKind::Neg, 5, &[(a, Unsigned)]);
+        let k = g.constant(BitVec::from_u64(2, 3));
+        g.output("k", 2, k, Unsigned);
+        // The adder feeds a multiplier operand inside one cluster (C002).
+        let mut clustering = cluster_none(&g);
+        clustering.clusters.retain(|c| c.output != s && c.output != m);
+        let input_edges =
+            g.edge_ids().filter(|&e| [s, m].contains(&g.edge(e).dst()) && g.edge(e).src() != s);
+        clustering.clusters.push(Cluster {
+            members: vec![s, m],
+            output: m,
+            input_edges: input_edges.collect(),
+        });
+        // A wrong interface (N003 error) and a dangling gate (N004 warning).
+        let mut nl = Netlist::new();
+        let bits = nl.input("a", 4);
+        let x = nl.gate(CellKind::Inv, &[bits[0]]);
+        nl.gate(CellKind::Inv, &[bits[1]]);
+        nl.output("o", vec![x]);
+
+        let cx = Context::new(&g).clustering(&clustering).netlist(&nl);
+        let full = verify(&cx);
+        let codes: Vec<Code> = full.diagnostics().iter().map(|d| d.code).collect();
+        for code in [Code::C002, Code::N003, Code::N004, Code::A003, Code::R005] {
+            assert!(codes.contains(&code), "{codes:?}");
+        }
+        let verdicts =
+            Verdicts { graph: Some(verify_graph(&cx)), clustering: Some(verify_clustering(&cx)) };
+        let mut rec = Recorder::new();
+        assert_eq!(verify_with(&cx, &verdicts, &mut rec).diagnostics(), full.diagnostics());
+        let spans: Vec<&str> = rec.records().iter().map(|r| r.name()).collect();
+        assert_eq!(spans, ["verify", "netlist"]);
+    }
 }

@@ -1,6 +1,6 @@
 //! `A0xx`: abstract-interpretation cross-checks (dp-absint).
 //!
-//! The pass recomputes the forward known-bits/interval and backward
+//! The check recomputes the forward known-bits/interval and backward
 //! demanded-bits analyses from scratch and audits the RP/IC flow against
 //! them:
 //!
@@ -26,46 +26,42 @@
 
 use dp_absint::{analyze, analyze_with, FindingKind, Place};
 
-use crate::{Code, Context, Diagnostic, Location, Pass};
+use crate::{Code, Context, Diagnostic, Location};
+
+/// The `A0xx` code (and so the severity) of each dp-absint finding kind.
+pub fn finding_code(kind: FindingKind) -> Code {
+    match kind {
+        FindingKind::DemandOutsideRp => Code::A001,
+        FindingKind::IcNotEntailed => Code::A002,
+        FindingKind::ConstantOutput => Code::A003,
+        FindingKind::HiddenDeadBits => Code::A004,
+        FindingKind::RedundantExtension => Code::A005,
+        FindingKind::LossyTruncation => Code::A006,
+        FindingKind::NoOverflow => Code::A007,
+    }
+}
 
 /// Abstract-interpretation cross-checker (see the module docs for the code
 /// list).
-pub struct AbsintChecks;
-
-impl Pass for AbsintChecks {
-    fn name(&self) -> &'static str {
-        "absint-checks"
-    }
-
-    fn run(&self, cx: &Context<'_>, out: &mut Vec<Diagnostic>) {
-        let g = cx.graph;
-        let (_, _, report) = match cx.ic_overrides {
-            Some(overrides) => analyze_with(g, overrides),
-            None => analyze(g),
+pub(crate) fn check(cx: &Context<'_>, out: &mut Vec<Diagnostic>) {
+    let g = cx.graph;
+    let (_, _, report) = match cx.ic_overrides {
+        Some(overrides) => analyze_with(g, overrides),
+        None => analyze(g),
+    };
+    for f in report.findings {
+        let code = finding_code(f.kind);
+        let location = match f.place {
+            Place::Node(n) => Location::Node(n),
+            Place::Edge(e) => Location::Edge(e),
         };
-        for f in report.findings {
-            let code = match f.kind {
-                FindingKind::DemandOutsideRp => Code::A001,
-                FindingKind::IcNotEntailed => Code::A002,
-                FindingKind::ConstantOutput => Code::A003,
-                FindingKind::HiddenDeadBits => Code::A004,
-                FindingKind::RedundantExtension => Code::A005,
-                FindingKind::LossyTruncation => Code::A006,
-                FindingKind::NoOverflow => Code::A007,
-            };
-            let location = match f.place {
-                Place::Node(n) => Location::Node(n),
-                Place::Edge(e) => Location::Edge(e),
-            };
-            out.push(Diagnostic::new(code, location, f.message));
-        }
+        out.push(Diagnostic::new(code, location, f.message));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Verifier;
     use dp_analysis::{Ic, IntrinsicOverrides};
     use dp_bitvec::Signedness::Unsigned;
     use dp_dfg::{Dfg, OpKind};
@@ -82,7 +78,7 @@ mod tests {
     #[test]
     fn sound_design_has_no_a_family_errors() {
         let g = sample();
-        let report = Verifier::default().run(&Context::new(&g));
+        let report = crate::verify(&Context::new(&g));
         assert!(!report.has_code(Code::A001), "{}", report.render(&g));
         assert!(!report.has_code(Code::A002), "{}", report.render(&g));
     }
@@ -93,7 +89,7 @@ mod tests {
         let target = g.op_nodes().next().expect("has an op");
         let mut overrides = IntrinsicOverrides::new();
         overrides.insert(target, Ic::new(1, Unsigned));
-        let report = Verifier::default().run(&Context::new(&g).ic_overrides(&overrides));
+        let report = crate::verify(&Context::new(&g).ic_overrides(&overrides));
         assert!(report.has_code(Code::A002), "{}", report.render(&g));
         assert!(report.has_errors());
     }

@@ -28,110 +28,101 @@ use dp_merge::{refine_clusters_with, ClusterError};
 use dp_metrics::Recorder;
 use dp_trace::TraceLog;
 
-use crate::{Code, Context, Diagnostic, Location, Pass};
+use crate::{Code, Context, Diagnostic, Location};
 
 /// Cluster-legality checker (see the module docs for the code list).
-pub struct ClusterLegality;
+pub(crate) fn check(cx: &Context<'_>, out: &mut Vec<Diagnostic>) {
+    let Some(clustering) = cx.clustering else {
+        return;
+    };
+    let g = cx.graph;
 
-impl Pass for ClusterLegality {
-    fn name(&self) -> &'static str {
-        "cluster-legality"
+    if let Err(e) = clustering.validate(g) {
+        let location = match &e {
+            ClusterError::Overlap { node } | ClusterError::Unassigned { node } => {
+                Location::Node(*node)
+            }
+            ClusterError::OutputNotMember { output } | ClusterError::Disconnected { output } => {
+                Location::Node(*output)
+            }
+            ClusterError::MultipleOutputs { cluster_output, .. } => Location::Node(*cluster_output),
+            ClusterError::BadInputEdge { edge } => Location::Edge(*edge),
+        };
+        out.push(Diagnostic::new(Code::C001, location, e.to_string()));
+        return;
     }
 
-    fn run(&self, cx: &Context<'_>, out: &mut Vec<Diagnostic>) {
-        let Some(clustering) = cx.clustering else {
-            return;
-        };
-        let g = cx.graph;
+    let ic = info_content(g);
 
-        if let Err(e) = clustering.validate(g) {
-            let location = match &e {
-                ClusterError::Overlap { node } | ClusterError::Unassigned { node } => {
-                    Location::Node(*node)
-                }
-                ClusterError::OutputNotMember { output }
-                | ClusterError::Disconnected { output } => Location::Node(*output),
-                ClusterError::MultipleOutputs { cluster_output, .. } => {
-                    Location::Node(*cluster_output)
-                }
-                ClusterError::BadInputEdge { edge } => Location::Edge(*edge),
-            };
-            out.push(Diagnostic::new(Code::C001, location, e.to_string()));
-            return;
-        }
+    // C003: independently recompute the break set. The final break
+    // decision depends on the Huffman-refined bounds, so the honest
+    // reference is a re-run of the break/cluster/Huffman refinement
+    // loop. The width pipeline is skipped: `assume_optimized` promises
+    // the graph is already width-optimized, which makes that pass a
+    // no-op — and skipping it lets the refinement borrow the graph
+    // directly instead of re-optimizing a scratch clone.
+    let reference_breaks: Option<HashSet<NodeId>> = cx.assume_optimized.then(|| {
+        let mut overrides = IntrinsicOverrides::new();
+        let (reference, _) = refine_clusters_with(
+            g,
+            &mut overrides,
+            &mut Recorder::disabled(),
+            &mut TraceLog::disabled(),
+        );
+        reference.break_nodes.iter().copied().collect()
+    });
 
-        let ic = info_content(g);
-
-        // C003: independently recompute the break set. The final break
-        // decision depends on the Huffman-refined bounds, so the honest
-        // reference is a re-run of the break/cluster/Huffman refinement
-        // loop. The width pipeline is skipped: `assume_optimized` promises
-        // the graph is already width-optimized, which makes that pass a
-        // no-op — and skipping it lets the refinement borrow the graph
-        // directly instead of re-optimizing a scratch clone.
-        let reference_breaks: Option<HashSet<NodeId>> = cx.assume_optimized.then(|| {
-            let mut overrides = IntrinsicOverrides::new();
-            let (reference, _) = refine_clusters_with(
-                g,
-                &mut overrides,
-                &mut Recorder::disabled(),
-                &mut TraceLog::disabled(),
-            );
-            reference.break_nodes.iter().copied().collect()
-        });
-
-        for (k, c) in clustering.clusters.iter().enumerate() {
-            if let Some(breaks) = &reference_breaks {
-                for &m in &c.members {
-                    if m != c.output && breaks.contains(&m) {
-                        out.push(Diagnostic::new(
-                            Code::C003,
-                            Location::Node(m),
-                            format!(
-                                "break node merged into the interior of cluster {k}: \
-                                 the Section 6 audit requires it to terminate a cluster"
-                            ),
-                        ));
-                    }
+    for (k, c) in clustering.clusters.iter().enumerate() {
+        if let Some(breaks) = &reference_breaks {
+            for &m in &c.members {
+                if m != c.output && breaks.contains(&m) {
+                    out.push(Diagnostic::new(
+                        Code::C003,
+                        Location::Node(m),
+                        format!(
+                            "break node merged into the interior of cluster {k}: \
+                             the Section 6 audit requires it to terminate a cluster"
+                        ),
+                    ));
                 }
             }
-            for &m in &c.members {
-                for &e in g.node(m).out_edges() {
-                    let edge = g.edge(e);
-                    let dst = edge.dst();
-                    if !c.contains(dst) {
-                        continue;
-                    }
-                    if g.node(dst).kind().op() == Some(OpKind::Mul) {
+        }
+        for &m in &c.members {
+            for &e in g.node(m).out_edges() {
+                let edge = g.edge(e);
+                let dst = edge.dst();
+                if !c.contains(dst) {
+                    continue;
+                }
+                if g.node(dst).kind().op() == Some(OpKind::Mul) {
+                    out.push(Diagnostic::new(
+                        Code::C002,
+                        Location::Edge(e),
+                        format!(
+                            "operator {m} feeds a multiplier operand inside \
+                             cluster {k}; multiplier operands must be cluster inputs"
+                        ),
+                    ));
+                }
+                if cx.assume_optimized {
+                    let w_e = edge.width();
+                    let w_src = g.node(m).width();
+                    let w_dst = g.node(dst).width();
+                    if w_e < w_src
+                        && w_dst > w_e
+                        && ic.output(m).i > w_e
+                        && ic.edge_signal(e).is_trivial_at(w_e)
+                    {
                         out.push(Diagnostic::new(
-                            Code::C002,
+                            Code::C004,
                             Location::Edge(e),
                             format!(
-                                "operator {m} feeds a multiplier operand inside \
-                                 cluster {k}; multiplier operands must be cluster inputs"
+                                "edge truncates {} informative bit(s) to {w_e} and \
+                                 the consumer re-extends to {w_dst} inside \
+                                 cluster {k}: a single sum cannot express this",
+                                ic.output(m).i
                             ),
                         ));
-                    }
-                    if cx.assume_optimized {
-                        let w_e = edge.width();
-                        let w_src = g.node(m).width();
-                        let w_dst = g.node(dst).width();
-                        if w_e < w_src
-                            && w_dst > w_e
-                            && ic.output(m).i > w_e
-                            && ic.edge_signal(e).is_trivial_at(w_e)
-                        {
-                            out.push(Diagnostic::new(
-                                Code::C004,
-                                Location::Edge(e),
-                                format!(
-                                    "edge truncates {} informative bit(s) to {w_e} and \
-                                     the consumer re-extends to {w_dst} inside \
-                                     cluster {k}: a single sum cannot express this",
-                                    ic.output(m).i
-                                ),
-                            ));
-                        }
                     }
                 }
             }
@@ -142,7 +133,6 @@ impl Pass for ClusterLegality {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Verifier;
     use dp_analysis::optimize_widths;
     use dp_bitvec::Signedness::*;
     use dp_dfg::{Dfg, OpKind};
@@ -167,7 +157,7 @@ mod tests {
         let (clustering, report) = dp_merge::cluster_max(&mut g);
         let cx =
             Context::new(&g).clustering(&clustering).transform(&report.transform).optimized(true);
-        let report = Verifier::default().run(&cx);
+        let report = crate::verify(&cx);
         assert!(!report.has_errors(), "{}", report.render(&g));
     }
 
@@ -208,7 +198,7 @@ mod tests {
         // Corrupt: force everything into one cluster, ignoring the break.
         let forged = flatten(&g, &genuine);
         forged.validate(&g).expect("forged clustering is structurally fine");
-        let report = Verifier::default().run(&Context::new(&g).clustering(&forged).optimized(true));
+        let report = crate::verify(&Context::new(&g).clustering(&forged).optimized(true));
         assert!(report.has_code(Code::C003), "{}", report.render(&g));
         assert!(report.has_errors());
     }
@@ -236,7 +226,7 @@ mod tests {
             break_nodes: vec![m],
         };
         forged.validate(&g).expect("structurally fine");
-        let report = Verifier::default().run(&Context::new(&g).clustering(&forged));
+        let report = crate::verify(&Context::new(&g).clustering(&forged));
         assert!(report.has_code(Code::C002), "{}", report.render(&g));
     }
 
@@ -255,7 +245,7 @@ mod tests {
         let genuine = cluster_none(&g);
         let forged = flatten(&g, &genuine);
         forged.validate(&g).expect("forged clustering is structurally fine");
-        let report = Verifier::default().run(&Context::new(&g).clustering(&forged).optimized(true));
+        let report = crate::verify(&Context::new(&g).clustering(&forged).optimized(true));
         assert!(report.has_code(Code::C004), "{}", report.render(&g));
     }
 
@@ -264,8 +254,7 @@ mod tests {
         let mut g = figure1_like();
         optimize_widths(&mut g);
         let clustering = cluster_none(&g);
-        let report =
-            Verifier::default().run(&Context::new(&g).clustering(&clustering).optimized(true));
+        let report = crate::verify(&Context::new(&g).clustering(&clustering).optimized(true));
         assert!(!report.has_code(Code::C002));
         assert!(!report.has_code(Code::C003), "{}", report.render(&g));
         assert!(!report.has_code(Code::C004));

@@ -1,6 +1,6 @@
 //! `I0xx`: information-content soundness (Definition 5.1, Lemmas 5.4–5.7).
 //!
-//! The pass recomputes the ⟨i, t⟩ analysis from scratch and audits:
+//! The check recomputes the ⟨i, t⟩ analysis from scratch and audits:
 //!
 //! - **I001** (error): a bound is malformed — it claims more bits than the
 //!   signal has. The Lemma 5.4 transfer functions keep every claim within
@@ -19,108 +19,100 @@ use dp_analysis::info_content;
 use dp_bitvec::Signedness;
 use dp_dfg::NodeKind;
 
-use crate::{Code, Context, Diagnostic, Location, Pass};
+use crate::{Code, Context, Diagnostic, Location};
 
 /// Information-content checker (see the module docs for the code list).
-pub struct IcSoundness;
+pub(crate) fn check(cx: &Context<'_>, out: &mut Vec<Diagnostic>) {
+    let g = cx.graph;
+    let ic = info_content(g);
 
-impl Pass for IcSoundness {
-    fn name(&self) -> &'static str {
-        "ic-soundness"
-    }
-
-    fn run(&self, cx: &Context<'_>, out: &mut Vec<Diagnostic>) {
-        let g = cx.graph;
-        let ic = info_content(g);
-
-        for n in g.node_ids() {
-            let node = g.node(n);
-            let w = node.width();
-            let claim = ic.output(n);
-            if claim.i > w {
-                out.push(Diagnostic::new(
-                    Code::I001,
-                    Location::Node(n),
-                    format!("output claim ⟨{},{}⟩ exceeds the node width {w}", claim.i, claim.t),
-                ));
+    for n in g.node_ids() {
+        let node = g.node(n);
+        let w = node.width();
+        let claim = ic.output(n);
+        if claim.i > w {
+            out.push(Diagnostic::new(
+                Code::I001,
+                Location::Node(n),
+                format!("output claim ⟨{},{}⟩ exceeds the node width {w}", claim.i, claim.t),
+            ));
+        }
+        if cx.assume_optimized && node.kind().is_op() {
+            if let Some(intrinsic) = ic.intrinsic(n) {
+                if intrinsic.i.max(1) < w {
+                    out.push(Diagnostic::new(
+                        Code::I003,
+                        Location::Node(n),
+                        format!(
+                            "width {w} exceeds intrinsic information content {}; \
+                             Lemma 5.6 pruning would narrow this node",
+                            intrinsic.i
+                        ),
+                    ));
+                }
             }
-            if cx.assume_optimized && node.kind().is_op() {
-                if let Some(intrinsic) = ic.intrinsic(n) {
-                    if intrinsic.i.max(1) < w {
+        }
+        if cx.assume_optimized {
+            if let NodeKind::Extension(_) = node.kind() {
+                let feed = node.in_edges().first().copied();
+                if let Some(feed) = feed {
+                    if g.edge(feed).width() == w {
                         out.push(Diagnostic::new(
-                            Code::I003,
+                            Code::I005,
                             Location::Node(n),
-                            format!(
-                                "width {w} exceeds intrinsic information content {}; \
-                                 Lemma 5.6 pruning would narrow this node",
-                                intrinsic.i
-                            ),
+                            format!("extension node is a pure {w}-bit wire"),
                         ));
                     }
                 }
             }
-            if cx.assume_optimized {
-                if let NodeKind::Extension(_) = node.kind() {
-                    let feed = node.in_edges().first().copied();
-                    if let Some(feed) = feed {
-                        if g.edge(feed).width() == w {
-                            out.push(Diagnostic::new(
-                                Code::I005,
-                                Location::Node(n),
-                                format!("extension node is a pure {w}-bit wire"),
-                            ));
-                        }
-                    }
-                }
-            }
         }
+    }
 
-        for e in g.edge_ids() {
-            let edge = g.edge(e);
-            let w_e = edge.width();
-            let claim = ic.edge_signal(e);
-            if claim.i > w_e {
+    for e in g.edge_ids() {
+        let edge = g.edge(e);
+        let w_e = edge.width();
+        let claim = ic.edge_signal(e);
+        if claim.i > w_e {
+            out.push(Diagnostic::new(
+                Code::I001,
+                Location::Edge(e),
+                format!("signal claim ⟨{},{}⟩ exceeds the edge width {w_e}", claim.i, claim.t),
+            ));
+        }
+        if !cx.assume_optimized {
+            continue;
+        }
+        let w_src = g.node(edge.src()).width();
+        if w_e > w_src {
+            out.push(Diagnostic::new(
+                Code::I002,
+                Location::Edge(e),
+                format!(
+                    "edge width {w_e} exceeds its source's width {w_src}: the \
+                     Lemma 5.6 extension node between them is missing"
+                ),
+            ));
+            continue; // the prunability warning below would be noise
+        }
+        // Mirror of `prune_edge_widths`, including its signed-claim
+        // safety guard: if this narrowing would apply, the fixpoint
+        // claim is false.
+        if claim.i < w_e {
+            let dst_w = g.node(edge.dst()).width();
+            let safe = match claim.t {
+                Signedness::Unsigned => true,
+                Signedness::Signed => edge.signedness() == Signedness::Signed || dst_w <= w_e,
+            };
+            if safe && claim.i.max(1) < w_e {
                 out.push(Diagnostic::new(
-                    Code::I001,
-                    Location::Edge(e),
-                    format!("signal claim ⟨{},{}⟩ exceeds the edge width {w_e}", claim.i, claim.t),
-                ));
-            }
-            if !cx.assume_optimized {
-                continue;
-            }
-            let w_src = g.node(edge.src()).width();
-            if w_e > w_src {
-                out.push(Diagnostic::new(
-                    Code::I002,
+                    Code::I004,
                     Location::Edge(e),
                     format!(
-                        "edge width {w_e} exceeds its source's width {w_src}: the \
-                         Lemma 5.6 extension node between them is missing"
+                        "edge carries only ⟨{},{}⟩ of its {w_e} bit(s); Lemma 5.7 \
+                         pruning would narrow it",
+                        claim.i, claim.t
                     ),
                 ));
-                continue; // the prunability warning below would be noise
-            }
-            // Mirror of `prune_edge_widths`, including its signed-claim
-            // safety guard: if this narrowing would apply, the fixpoint
-            // claim is false.
-            if claim.i < w_e {
-                let dst_w = g.node(edge.dst()).width();
-                let safe = match claim.t {
-                    Signedness::Unsigned => true,
-                    Signedness::Signed => edge.signedness() == Signedness::Signed || dst_w <= w_e,
-                };
-                if safe && claim.i.max(1) < w_e {
-                    out.push(Diagnostic::new(
-                        Code::I004,
-                        Location::Edge(e),
-                        format!(
-                            "edge carries only ⟨{},{}⟩ of its {w_e} bit(s); Lemma 5.7 \
-                             pruning would narrow it",
-                            claim.i, claim.t
-                        ),
-                    ));
-                }
             }
         }
     }
@@ -129,7 +121,6 @@ impl Pass for IcSoundness {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Verifier;
     use dp_analysis::optimize_widths;
     use dp_bitvec::Signedness::*;
     use dp_dfg::{Dfg, OpKind};
@@ -156,7 +147,7 @@ mod tests {
         let has_ext =
             g.node_ids().any(|n| matches!(g.node(n).kind(), dp_dfg::NodeKind::Extension(_)));
         assert!(has_ext, "scenario should force an extension node");
-        let report = Verifier::default().run(&Context::new(&g).optimized(true));
+        let report = crate::verify(&Context::new(&g).optimized(true));
         assert!(!report.has_errors(), "{}", report.render(&g));
         assert!(!report.has_code(Code::I002), "{}", report.render(&g));
     }
@@ -179,7 +170,7 @@ mod tests {
                 g.rewire_edge_src(e, src);
             }
         }
-        let report = Verifier::default().run(&Context::new(&g).optimized(true));
+        let report = crate::verify(&Context::new(&g).optimized(true));
         assert!(report.has_code(Code::I002), "{}", report.render(&g));
         assert!(report.has_errors());
     }
@@ -187,7 +178,7 @@ mod tests {
     #[test]
     fn lenient_mode_accepts_raw_designs() {
         let g = with_extension();
-        let report = Verifier::default().run(&Context::new(&g));
+        let report = crate::verify(&Context::new(&g));
         assert!(!report.has_errors(), "{}", report.render(&g));
     }
 }

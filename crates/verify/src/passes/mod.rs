@@ -1,15 +1,8 @@
-//! The bundled checker passes, one module per diagnostic family.
+//! The bundled checks, one module per diagnostic family.
 
-mod absint;
-mod cluster;
-mod ic;
-mod netlist;
-mod rp;
-mod structural;
-
-pub use absint::AbsintChecks;
-pub use cluster::ClusterLegality;
-pub use ic::IcSoundness;
-pub use netlist::NetlistChecks;
-pub use rp::RpSoundness;
-pub use structural::StructuralValidity;
+pub(crate) mod absint;
+pub(crate) mod cluster;
+pub(crate) mod ic;
+pub(crate) mod netlist;
+pub(crate) mod rp;
+pub(crate) mod structural;

@@ -13,99 +13,91 @@
 
 use dp_netlist::{NetId, NetlistError};
 
-use crate::{Code, Context, Diagnostic, Location, Pass};
+use crate::{Code, Context, Diagnostic, Location};
 
 /// Netlist checker (see the module docs for the code list).
-pub struct NetlistChecks;
+pub(crate) fn check(cx: &Context<'_>, out: &mut Vec<Diagnostic>) {
+    let Some(nl) = cx.netlist else { return };
 
-impl Pass for NetlistChecks {
-    fn name(&self) -> &'static str {
-        "netlist"
+    if let Err(NetlistError::Undriven { net }) = nl.check() {
+        out.push(Diagnostic::new(Code::N001, Location::Net(net), "net has no driver"));
     }
 
-    fn run(&self, cx: &Context<'_>, out: &mut Vec<Diagnostic>) {
-        let Some(nl) = cx.netlist else { return };
+    // N003: the netlist must present the same interface as the graph.
+    let g = cx.graph;
+    let graph_buses = |nodes: &[dp_dfg::NodeId]| -> Vec<(String, usize)> {
+        nodes
+            .iter()
+            .map(|&n| {
+                let node = g.node(n);
+                (node.name().unwrap_or("?").to_string(), node.width())
+            })
+            .collect()
+    };
+    let netlist_buses = |buses: &[(String, Vec<NetId>)]| -> Vec<(String, usize)> {
+        buses.iter().map(|(name, bits)| (name.clone(), bits.len())).collect()
+    };
+    for (side, want, got) in [
+        ("input", graph_buses(g.inputs()), netlist_buses(nl.inputs())),
+        ("output", graph_buses(g.outputs()), netlist_buses(nl.outputs())),
+    ] {
+        if want != got {
+            out.push(Diagnostic::new(
+                Code::N003,
+                Location::Global,
+                format!(
+                    "{side} interface mismatch: graph declares {want:?}, \
+                     netlist implements {got:?}"
+                ),
+            ));
+        }
+    }
 
-        if let Err(NetlistError::Undriven { net }) = nl.check() {
-            out.push(Diagnostic::new(Code::N001, Location::Net(net), "net has no driver"));
+    // N004/N005: recount fanout from first principles. A net's fanout
+    // is the number of gate pins plus output-bus bits that read it.
+    // Net ids are dense, so the tallies live in arrays indexed by net —
+    // the recount streams through the pin arena without hashing.
+    let mut recount = vec![0usize; nl.num_nets()];
+    let mut known = vec![false; nl.num_nets()];
+    for gid in nl.gate_ids() {
+        for &net in nl.gate_inputs(gid) {
+            recount[net.index()] += 1;
+            known[net.index()] = true;
         }
-
-        // N003: the netlist must present the same interface as the graph.
-        let g = cx.graph;
-        let graph_buses = |nodes: &[dp_dfg::NodeId]| -> Vec<(String, usize)> {
-            nodes
-                .iter()
-                .map(|&n| {
-                    let node = g.node(n);
-                    (node.name().unwrap_or("?").to_string(), node.width())
-                })
-                .collect()
-        };
-        let netlist_buses = |buses: &[(String, Vec<NetId>)]| -> Vec<(String, usize)> {
-            buses.iter().map(|(name, bits)| (name.clone(), bits.len())).collect()
-        };
-        for (side, want, got) in [
-            ("input", graph_buses(g.inputs()), netlist_buses(nl.inputs())),
-            ("output", graph_buses(g.outputs()), netlist_buses(nl.outputs())),
-        ] {
-            if want != got {
-                out.push(Diagnostic::new(
-                    Code::N003,
-                    Location::Global,
-                    format!(
-                        "{side} interface mismatch: graph declares {want:?}, \
-                         netlist implements {got:?}"
-                    ),
-                ));
-            }
+        known[nl.gate_output(gid).index()] = true;
+    }
+    for (_, bits) in nl.inputs() {
+        for &net in bits {
+            known[net.index()] = true;
         }
-
-        // N004/N005: recount fanout from first principles. A net's fanout
-        // is the number of gate pins plus output-bus bits that read it.
-        // Net ids are dense, so the tallies live in arrays indexed by net —
-        // the recount streams through the pin arena without hashing.
-        let mut recount = vec![0usize; nl.num_nets()];
-        let mut known = vec![false; nl.num_nets()];
-        for gid in nl.gate_ids() {
-            for &net in nl.gate_inputs(gid) {
-                recount[net.index()] += 1;
-                known[net.index()] = true;
-            }
-            known[nl.gate_output(gid).index()] = true;
+    }
+    for (_, bits) in nl.outputs() {
+        for &net in bits {
+            recount[net.index()] += 1;
+            known[net.index()] = true;
         }
-        for (_, bits) in nl.inputs() {
-            for &net in bits {
-                known[net.index()] = true;
-            }
+    }
+    for (i, &is_known) in known.iter().enumerate() {
+        if !is_known {
+            continue;
         }
-        for (_, bits) in nl.outputs() {
-            for &net in bits {
-                recount[net.index()] += 1;
-                known[net.index()] = true;
-            }
+        let net = NetId::from_index(i);
+        let (expected, cached) = (recount[i], nl.fanout_of(net));
+        if cached != expected {
+            out.push(Diagnostic::new(
+                Code::N005,
+                Location::Net(net),
+                format!("cached fanout {cached} but {expected} sink(s) actually read the net"),
+            ));
         }
-        for (i, &is_known) in known.iter().enumerate() {
-            if !is_known {
-                continue;
-            }
-            let net = NetId::from_index(i);
-            let (expected, cached) = (recount[i], nl.fanout_of(net));
-            if cached != expected {
-                out.push(Diagnostic::new(
-                    Code::N005,
-                    Location::Net(net),
-                    format!("cached fanout {cached} but {expected} sink(s) actually read the net"),
-                ));
-            }
-        }
-        for gid in nl.gate_ids() {
-            if recount[nl.gate_output(gid).index()] == 0 {
-                out.push(Diagnostic::new(
-                    Code::N004,
-                    Location::Gate(gid),
-                    "gate output drives no gate pin or output bit",
-                ));
-            }
+    }
+    for gid in nl.gate_ids() {
+        if recount[nl.gate_output(gid).index()] == 0 {
+            out.push(Diagnostic::new(
+                Code::N004,
+                Location::Gate(gid),
+                "gate output drives no gate pin or output bit",
+            ));
         }
     }
 }
@@ -113,7 +105,6 @@ impl Pass for NetlistChecks {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Verifier;
     use dp_bitvec::Signedness::Unsigned;
     use dp_dfg::{Dfg, OpKind};
     use dp_netlist::{CellKind, Netlist};
@@ -138,7 +129,7 @@ mod tests {
     #[test]
     fn synthesized_netlist_is_clean() {
         let (g, nl) = synthesized();
-        let report = Verifier::default().run(&Context::new(&g).netlist(&nl));
+        let report = crate::verify(&Context::new(&g).netlist(&nl));
         assert!(!report.has_errors(), "{}", report.render(&g));
     }
 
@@ -150,7 +141,7 @@ mod tests {
         let w = nl.fresh_net(); // never driven
         let x = nl.gate(CellKind::And2, &[a[0], w]);
         nl.output("o", vec![x]);
-        let report = Verifier::default().run(&Context::new(&g).netlist(&nl));
+        let report = crate::verify(&Context::new(&g).netlist(&nl));
         assert!(report.has_code(Code::N001), "{}", report.render(&g));
     }
 
@@ -162,7 +153,7 @@ mod tests {
         // Missing bus "b", wrong output width.
         let x = nl.gate(CellKind::Inv, &[a[0]]);
         nl.output("o", vec![x]);
-        let report = Verifier::default().run(&Context::new(&g).netlist(&nl));
+        let report = crate::verify(&Context::new(&g).netlist(&nl));
         assert!(report.has_code(Code::N003), "{}", report.render(&g));
     }
 
@@ -174,11 +165,11 @@ mod tests {
         let kept = nl.gate(CellKind::Inv, &[a[0]]);
         let _dangling = nl.gate(CellKind::Inv, &[a[0]]);
         nl.output("o", vec![kept]);
-        let report = Verifier::default().run(&Context::new(&g).netlist(&nl));
+        let report = crate::verify(&Context::new(&g).netlist(&nl));
         assert!(report.has_code(Code::N004), "{}", report.render(&g));
         // N003 fires (interface mismatch with tiny_design) but N004 itself
         // is only a warning.
-        let n004: Vec<_> = report.with_code(Code::N004).collect();
-        assert!(n004.iter().all(|d| d.severity() == crate::Severity::Warn));
+        let mut n004 = report.diagnostics().iter().filter(|d| d.code == Code::N004);
+        assert!(n004.all(|d| d.severity() == crate::Severity::Warn));
     }
 }

@@ -1,6 +1,6 @@
 //! `R0xx`: required-precision soundness (Definition 4.1 / Theorem 4.2).
 //!
-//! The pass recomputes required precision from scratch on the graph under
+//! The check recomputes required precision from scratch on the graph under
 //! scrutiny and compares it against the declared widths:
 //!
 //! - **R001** (error, optimized only): `r(p) > w(n)` on an operator or
@@ -24,106 +24,98 @@
 use dp_analysis::{info_content, required_precision};
 use dp_dfg::NodeKind;
 
-use crate::{Code, Context, Diagnostic, Location, Pass};
+use crate::{Code, Context, Diagnostic, Location};
 
 /// Required-precision checker (see the module docs for the code list).
-pub struct RpSoundness;
+pub(crate) fn check(cx: &Context<'_>, out: &mut Vec<Diagnostic>) {
+    let g = cx.graph;
+    let rp = required_precision(g);
+    let ic = info_content(g);
 
-impl Pass for RpSoundness {
-    fn name(&self) -> &'static str {
-        "rp-soundness"
+    if let Some(t) = cx.transform {
+        if !t.converged {
+            out.push(Diagnostic::new(
+                Code::R004,
+                Location::Global,
+                format!(
+                    "width pipeline stopped after {} round(s) while still making \
+                     changes; further width reductions remain",
+                    t.rounds
+                ),
+            ));
+        }
     }
 
-    fn run(&self, cx: &Context<'_>, out: &mut Vec<Diagnostic>) {
-        let g = cx.graph;
-        let rp = required_precision(g);
-        let ic = info_content(g);
-
-        if let Some(t) = cx.transform {
-            if !t.converged {
+    for n in g.node_ids() {
+        let node = g.node(n);
+        let clampable = matches!(node.kind(), NodeKind::Op(_) | NodeKind::Extension(_));
+        if !clampable {
+            continue;
+        }
+        let r = rp.output_port(n);
+        let w = node.width();
+        if cx.assume_optimized {
+            if r > w {
                 out.push(Diagnostic::new(
-                    Code::R004,
-                    Location::Global,
+                    Code::R001,
+                    Location::Node(n),
                     format!(
-                        "width pipeline stopped after {} round(s) while still making \
-                         changes; further width reductions remain",
-                        t.rounds
+                        "consumers require {r} low bit(s) but the node is only \
+                         {w} bit(s) wide"
+                    ),
+                ));
+            } else if r.max(1) < w {
+                out.push(Diagnostic::new(
+                    Code::R003,
+                    Location::Node(n),
+                    format!(
+                        "width {w} exceeds required precision {r}; the Theorem 4.2 \
+                         clamp would narrow this node"
                     ),
                 ));
             }
         }
-
-        for n in g.node_ids() {
-            let node = g.node(n);
-            let clampable = matches!(node.kind(), NodeKind::Op(_) | NodeKind::Extension(_));
-            if !clampable {
-                continue;
-            }
-            let r = rp.output_port(n);
-            let w = node.width();
-            if cx.assume_optimized {
-                if r > w {
+        if node.kind().is_op() && r == 0 {
+            out.push(Diagnostic::new(
+                Code::R005,
+                Location::Node(n),
+                "no primary output observes this operator",
+            ));
+        }
+        if let Some(base) = cx.baseline {
+            if node.kind().is_op() && n.index() < base.num_nodes() {
+                let w_before = base.node(n).width();
+                let i = ic.intrinsic(n).map_or(usize::MAX, |x| x.i);
+                let floor = w_before.min(r.max(1)).min(i.max(1));
+                if w < floor {
                     out.push(Diagnostic::new(
-                        Code::R001,
+                        Code::R002,
                         Location::Node(n),
                         format!(
-                            "consumers require {r} low bit(s) but the node is only \
-                             {w} bit(s) wide"
+                            "width {w} is below the justified floor {floor} \
+                             (baseline {w_before}, required precision {r}, \
+                             information content {i})"
                         ),
                     ));
-                } else if r.max(1) < w {
-                    out.push(Diagnostic::new(
-                        Code::R003,
-                        Location::Node(n),
-                        format!(
-                            "width {w} exceeds required precision {r}; the Theorem 4.2 \
-                             clamp would narrow this node"
-                        ),
-                    ));
-                }
-            }
-            if node.kind().is_op() && r == 0 {
-                out.push(Diagnostic::new(
-                    Code::R005,
-                    Location::Node(n),
-                    "no primary output observes this operator",
-                ));
-            }
-            if let Some(base) = cx.baseline {
-                if node.kind().is_op() && n.index() < base.num_nodes() {
-                    let w_before = base.node(n).width();
-                    let i = ic.intrinsic(n).map_or(usize::MAX, |x| x.i);
-                    let floor = w_before.min(r.max(1)).min(i.max(1));
-                    if w < floor {
-                        out.push(Diagnostic::new(
-                            Code::R002,
-                            Location::Node(n),
-                            format!(
-                                "width {w} is below the justified floor {floor} \
-                                 (baseline {w_before}, required precision {r}, \
-                                 information content {i})"
-                            ),
-                        ));
-                    }
                 }
             }
         }
+    }
 
-        if cx.assume_optimized {
-            for e in g.edge_ids() {
-                let edge = g.edge(e);
-                let r = rp.input_port(edge.dst()).max(1);
-                if edge.width() > r {
-                    out.push(Diagnostic::new(
-                        Code::R003,
-                        Location::Edge(e),
-                        format!(
-                            "edge width {} exceeds the destination's required \
-                             precision {r}; the Theorem 4.2 clamp would narrow it",
-                            edge.width()
-                        ),
-                    ));
-                }
+    if cx.assume_optimized {
+        for e in g.edge_ids() {
+            let edge = g.edge(e);
+            let r = rp.input_port(edge.dst()).max(1);
+            if edge.width() > r {
+                out.push(Diagnostic::new(
+                    Code::R003,
+                    Location::Edge(e),
+                    format!(
+                        "edge width {} exceeds the destination's required \
+                         precision {r}; the Theorem 4.2 clamp would narrow it",
+                        edge.width()
+                    ),
+                ));
             }
         }
     }
@@ -132,7 +124,6 @@ impl Pass for RpSoundness {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Verifier;
     use dp_analysis::optimize_widths;
     use dp_bitvec::Signedness::*;
     use dp_dfg::{Dfg, OpKind};
@@ -158,8 +149,7 @@ mod tests {
         let base = figure3();
         let mut g = base.clone();
         let t = optimize_widths(&mut g);
-        let report = Verifier::default()
-            .run(&Context::new(&g).baseline(&base).transform(&t).optimized(true));
+        let report = crate::verify(&Context::new(&g).baseline(&base).transform(&t).optimized(true));
         assert!(!report.has_errors(), "{}", report.render(&g));
         assert_eq!(report.count(crate::Severity::Warn), 0, "{}", report.render(&g));
     }
@@ -170,7 +160,7 @@ mod tests {
         // Unoptimized: r > w at n1 (consumers read 9 bits of an 8-bit
         // adder). That is the *design's* truncation — lenient mode must
         // not flag it.
-        let report = Verifier::default().run(&Context::new(&g));
+        let report = crate::verify(&Context::new(&g));
         assert!(!report.has_errors(), "{}", report.render(&g));
     }
 
@@ -183,7 +173,7 @@ mod tests {
         let n4 = g.op_nodes().max_by_key(|n| n.index()).expect("figure 3 has operators");
         assert!(g.node(n4).width() > 2);
         g.set_node_width(n4, 2);
-        let report = Verifier::default().run(&Context::new(&g).baseline(&base).optimized(true));
+        let report = crate::verify(&Context::new(&g).baseline(&base).optimized(true));
         assert!(report.has_code(Code::R001), "{}", report.render(&g));
         assert!(report.has_code(Code::R002), "{}", report.render(&g));
         assert!(report.has_errors());
@@ -198,7 +188,7 @@ mod tests {
             converged: false,
             ..Default::default()
         };
-        let report = Verifier::default().run(&Context::new(&g).transform(&t));
+        let report = crate::verify(&Context::new(&g).transform(&t));
         assert!(report.has_code(Code::R004), "{}", report.render(&g));
         assert!(!report.has_errors());
     }
@@ -210,7 +200,7 @@ mod tests {
         let live = g.op(OpKind::Neg, 5, &[(a, Signed)]);
         let _dead = g.op(OpKind::Add, 6, &[(a, Unsigned), (a, Unsigned)]);
         g.output("o", 5, live, Signed);
-        let report = Verifier::default().run(&Context::new(&g));
+        let report = crate::verify(&Context::new(&g));
         assert!(report.has_code(Code::R005), "{}", report.render(&g));
         assert!(!report.has_errors());
     }

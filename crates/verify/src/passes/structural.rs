@@ -4,48 +4,37 @@
 
 use dp_dfg::ValidateError;
 
-use crate::{Code, Context, Diagnostic, Location, Pass};
+use crate::{Code, Context, Diagnostic, Location};
 
 /// Reports every defect [`dp_dfg::Dfg::validate`] finds as a `V0xx`
-/// diagnostic. This is the only pass that runs on an *invalid* graph — the
-/// others are skipped so they never panic inside an analysis.
-pub struct StructuralValidity;
-
-impl Pass for StructuralValidity {
-    fn name(&self) -> &'static str {
-        "structural"
-    }
-
-    fn needs_valid_graph(&self) -> bool {
-        false
-    }
-
-    fn run(&self, cx: &Context<'_>, out: &mut Vec<Diagnostic>) {
-        let Err(errors) = cx.graph.validate() else {
-            return;
+/// diagnostic and returns whether the graph is valid. This is the only
+/// check that runs on an *invalid* graph — the others are skipped so they
+/// never panic inside an analysis.
+pub(crate) fn check(cx: &Context<'_>, out: &mut Vec<Diagnostic>) -> bool {
+    let Err(errors) = cx.graph.validate() else {
+        return true;
+    };
+    for e in &errors {
+        let code = match e {
+            ValidateError::Cyclic => Code::V001,
+            ValidateError::BadInDegree { .. } => Code::V002,
+            ValidateError::DuplicatePort { .. } => Code::V003,
+            ValidateError::PortOutOfRange { .. } => Code::V004,
+            ValidateError::OutputHasFanout { .. } => Code::V005,
+            ValidateError::ConstWidthMismatch { .. } => Code::V006,
         };
-        for e in &errors {
-            let code = match e {
-                ValidateError::Cyclic => Code::V001,
-                ValidateError::BadInDegree { .. } => Code::V002,
-                ValidateError::DuplicatePort { .. } => Code::V003,
-                ValidateError::PortOutOfRange { .. } => Code::V004,
-                ValidateError::OutputHasFanout { .. } => Code::V005,
-                ValidateError::ConstWidthMismatch { .. } => Code::V006,
-            };
-            let location = match e.node_id() {
-                Some(n) => Location::Node(n),
-                None => Location::Global,
-            };
-            out.push(Diagnostic::new(code, location, e.to_string()));
-        }
+        let location = match e.node_id() {
+            Some(n) => Location::Node(n),
+            None => Location::Global,
+        };
+        out.push(Diagnostic::new(code, location, e.to_string()));
     }
+    false
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Verifier;
     use dp_bitvec::Signedness::Unsigned;
     use dp_dfg::{Dfg, OpKind};
 
@@ -55,11 +44,11 @@ mod tests {
         let a = g.input("a", 4);
         let n = g.op(OpKind::Add, 4, &[(a, Unsigned), (a, Unsigned)]);
         g.connect(n, n, 0, 4, Unsigned); // cycle + arity defect
-        let report = Verifier::default().run(&Context::new(&g).optimized(true));
+        let report = crate::verify(&Context::new(&g).optimized(true));
         assert!(report.has_code(Code::V001), "{report:?}");
         assert!(report.has_code(Code::V002), "{report:?}");
         assert!(report.has_errors());
-        // No R/I diagnostics: those passes must have been skipped.
+        // No R/I diagnostics: those checks must have been skipped.
         assert!(report.diagnostics().iter().all(|d| format!("{}", d.code).starts_with('V')));
     }
 
@@ -70,7 +59,7 @@ mod tests {
         let n = g.op(OpKind::Neg, 5, &[(a, Unsigned)]);
         g.output("o", 5, n, Unsigned);
         let mut out = Vec::new();
-        StructuralValidity.run(&Context::new(&g), &mut out);
+        assert!(check(&Context::new(&g), &mut out));
         assert!(out.is_empty());
     }
 }

@@ -11,7 +11,7 @@ use dp_analysis::optimize_widths;
 use dp_bitvec::Signedness::{Signed, Unsigned};
 use dp_dfg::{Dfg, NodeKind, OpKind};
 use dp_merge::{cluster_max, cluster_none, Cluster, Clustering};
-use dp_verify::{Code, Context, Severity, Verifier};
+use dp_verify::{verify, Code, Context, Severity};
 
 /// The paper's Figure 3 adder tree (designs/fig3.dp).
 fn figure3() -> Dfg {
@@ -43,7 +43,7 @@ fn full_flow_on_figure3_is_clean() {
         .netlist(&nl)
         .transform(&report.transform)
         .optimized(true);
-    let report = Verifier::default().run(&cx);
+    let report = verify(&cx);
     assert_eq!(report.count(Severity::Error), 0, "{}", report.render(&g));
     assert_eq!(report.count(Severity::Warn), 0, "{}", report.render(&g));
 }
@@ -55,7 +55,7 @@ fn mutation_shrink_below_rp_is_caught_as_r001() {
     optimize_widths(&mut g);
     let victim = g.op_nodes().max_by_key(|n| n.index()).unwrap();
     g.set_node_width(victim, 2);
-    let report = Verifier::default().run(&Context::new(&g).baseline(&base).optimized(true));
+    let report = verify(&Context::new(&g).baseline(&base).optimized(true));
     assert!(report.has_code(Code::R001), "{}", report.render(&g));
     assert!(report.has_errors());
 }
@@ -82,7 +82,7 @@ fn mutation_dropped_extension_node_is_caught_as_i002() {
             g.rewire_edge_src(out_edge, src);
         }
     }
-    let report = Verifier::default().run(&Context::new(&g).optimized(true));
+    let report = verify(&Context::new(&g).optimized(true));
     assert!(report.has_code(Code::I002), "{}", report.render(&g));
     assert!(report.has_errors());
 }
@@ -125,7 +125,7 @@ fn mutation_merge_across_break_node_is_caught_as_c003() {
     };
     forged.validate(&g).expect("forged clustering is structurally well-formed");
 
-    let report = Verifier::default().run(&Context::new(&g).clustering(&forged).optimized(true));
+    let report = verify(&Context::new(&g).clustering(&forged).optimized(true));
     assert!(report.has_code(Code::C003), "{}", report.render(&g));
     assert!(report.has_errors());
 }
@@ -135,6 +135,6 @@ fn singleton_clustering_stays_clean_after_optimization() {
     let mut g = figure3();
     optimize_widths(&mut g);
     let clustering = cluster_none(&g);
-    let report = Verifier::default().run(&Context::new(&g).clustering(&clustering).optimized(true));
+    let report = verify(&Context::new(&g).clustering(&clustering).optimized(true));
     assert!(!report.has_errors(), "{}", report.render(&g));
 }

@@ -199,6 +199,28 @@ if [ "$finish_calls" -gt 0 ]; then
 fi
 echo "finish lint: OK"
 
+echo "==> audit lint (each artifact of a flow is audited once)"
+# The guard audits the graph and the clustering it builds on; finish_flow
+# audits the netlist and whatever the guard holds no verdict for. Outside
+# dp-verify, non-test code of src/, the crates and the examples calls the
+# audit entries (verify, verify_graph, verify_clustering, verify_with)
+# only in crates/synth/src/guard.rs and in finish_flow of src/driver.rs.
+audit_calls=0
+for f in $(find src crates/*/src examples -name '*.rs' | grep -v -e '^crates/verify/src/' \
+             -e '^crates/synth/src/guard\.rs$'); do
+  c=$(awk '/#\[cfg\(test\)\]/{exit} {t=$0; sub(/^[ \t]+/,"",t)} t ~ /^\/\// {next} \
+       /fn finish_flow\(/ {inside=1} /^}/ {inside=0} \
+       !inside && /(^|[^_A-Za-z0-9])verify(_graph|_clustering|_with)?\(/ {c++} \
+       END{print c+0}' "$f")
+  if [ "$c" -gt 0 ]; then echo "  $f: $c audit call(s) outside the guard and finish_flow"; fi
+  audit_calls=$((audit_calls + c))
+done
+if [ "$audit_calls" -gt 0 ]; then
+  echo "audit lint: FAIL ($audit_calls audit call(s); take the guard's verdicts through finish_flow)"
+  exit 1
+fi
+echo "audit lint: OK"
+
 echo "==> panic lint (non-test code of src/ and all crates)"
 # Bare panic!/unreachable! and slice-indexing unwraps (.get(..).unwrap(),
 # [..].unwrap()) are banned outside tests: use a typed error, restructure

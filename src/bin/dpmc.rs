@@ -736,24 +736,12 @@ fn run_lint(args: &Args) -> Result<bool, FlowError> {
 /// information-content bound first so the cross-proof visibly fails.
 /// Returns `Ok(false)` when any cross-check proof fails.
 fn run_analyze(args: &Args) -> Result<bool, FlowError> {
-    use datapath_merge::absint::{analyze_with, FindingKind, Place};
+    use datapath_merge::absint::{analyze_with, Place};
     use datapath_merge::analysis::IntrinsicOverrides;
     use datapath_merge::fault::FaultInjector;
     use datapath_merge::synth::FlowFault;
+    use datapath_merge::verify::finding_code;
 
-    // The stable code + severity each finding kind maps to (mirrors the
-    // dp-verify `A`-family table).
-    fn code_of(kind: FindingKind) -> (&'static str, &'static str) {
-        match kind {
-            FindingKind::DemandOutsideRp => ("A001", "error"),
-            FindingKind::IcNotEntailed => ("A002", "error"),
-            FindingKind::ConstantOutput => ("A003", "warn"),
-            FindingKind::HiddenDeadBits => ("A004", "info"),
-            FindingKind::RedundantExtension => ("A005", "info"),
-            FindingKind::LossyTruncation => ("A006", "info"),
-            FindingKind::NoOverflow => ("A007", "info"),
-        }
-    }
     fn place_str(place: Place) -> String {
         match place {
             Place::Node(n) => n.to_string(),
@@ -800,10 +788,10 @@ fn run_analyze(args: &Args) -> Result<bool, FlowError> {
                 .findings
                 .iter()
                 .map(|f| {
-                    let (code, severity) = code_of(f.kind);
+                    let code = finding_code(f.kind);
                     Json::obj()
-                        .field("code", code)
-                        .field("severity", severity)
+                        .field("code", code.to_string())
+                        .field("severity", code.severity().to_string())
                         .field("location", place_str(f.place))
                         .field("message", f.message.as_str())
                 })
@@ -818,17 +806,28 @@ fn run_analyze(args: &Args) -> Result<bool, FlowError> {
             if let Some(what) = &injected {
                 row = row.field("injected", what.as_str());
             }
-            rows.push(row.field("counters", counters).field("findings", findings).field(
-                "errors",
-                report.findings.iter().filter(|f| code_of(f.kind).1 == "error").count(),
-            ));
+            rows.push(
+                row.field("counters", counters).field("findings", findings).field(
+                    "errors",
+                    report
+                        .findings
+                        .iter()
+                        .filter(|f| finding_code(f.kind).severity() == Severity::Error)
+                        .count(),
+                ),
+            );
         } else {
             if let Some(what) = &injected {
                 println!("{name}: injected {what}");
             }
             for f in &report.findings {
-                let (code, severity) = code_of(f.kind);
-                println!("{name}: {severity}[{code}] {}: {}", place_label(g, f.place), f.message);
+                let code = finding_code(f.kind);
+                println!(
+                    "{name}: {}[{code}] {}: {}",
+                    code.severity(),
+                    place_label(g, f.place),
+                    f.message
+                );
             }
             println!(
                 "{name}: {} finding(s); proved {} known bit(s), {} dead bit(s), \

@@ -23,6 +23,7 @@ use dp_obs::{
 };
 pub use dp_serve::pool::WorkerError;
 use dp_synth::SynthError;
+use dp_verify::verify_with;
 
 use crate::error::FlowError;
 use crate::prelude::*;
@@ -128,9 +129,12 @@ fn run_reported(
 /// The stages after the flow: [`finish`] (constant folding and the
 /// dead-gate sweep under `fold_sweep`, static timing and area under
 /// `sta`), then the dp-verify audit of the final artifacts against the
-/// input design `g`. As in the guard's own audits, the strict
-/// post-fixpoint checks are armed only for a new-merge flow that did not
-/// degrade. `dpmc bench`, `dpmc profile` and `dpmc lint` run it.
+/// input design `g`. The audit runs only what the guard did not: the
+/// finished netlist, plus the graph or clustering when the guard holds no
+/// verdict for it at the strictness it shipped at (an old-merge or
+/// no-merge graph, an artifact a fallback replaced). As in the guard, the
+/// strict post-fixpoint checks are armed only for a new-merge flow that
+/// did not degrade. `dpmc bench`, `dpmc profile` and `dpmc lint` run it.
 ///
 /// # Errors
 ///
@@ -153,7 +157,7 @@ pub fn finish_flow(
     if let Some(m) = &flow.merge {
         cx = cx.transform(&m.transform);
     }
-    let report = Verifier::default().run_with(&cx, rec);
+    let report = verify_with(&cx, &guarded.verdicts, rec);
     Ok((done, report))
 }
 

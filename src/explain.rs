@@ -61,7 +61,7 @@ pub fn run_traced(g: &Dfg) -> Result<Explained, SynthError> {
     let mut rec = Recorder::disabled();
     let mut trace = TraceLog::new();
     let budget = FlowBudget::default();
-    let GuardedFlow { mut flow, degradation } = run_flow_guarded_with(
+    let GuardedFlow { mut flow, degradation, .. } = run_flow_guarded_with(
         g,
         MergeStrategy::New,
         &SynthConfig::default(),

@@ -119,5 +119,5 @@ pub mod prelude {
         FlowBudget, FlowResult, GuardedFlow, MergeStrategy, Mismatch, ReductionKind, SynthConfig,
     };
     pub use dp_trace::{EventId, Rule, Subject, TraceEvent, TraceLog};
-    pub use dp_verify::{Code, Context, Diagnostic, Severity, Verifier, VerifyReport};
+    pub use dp_verify::{verify, Code, Context, Diagnostic, Severity, VerifyReport};
 }

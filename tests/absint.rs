@@ -1,8 +1,8 @@
 //! Full-loop integration of the abstract-interpretation static layer:
 //! the dp-fault injector plants the same lying information-content bound
 //! the Huffman-rebalancing channel carries, and the `A`-family checker —
-//! both through `dp_absint::analyze_with` directly and through the
-//! dp-verify pass registry — must flag it as an error, while every
+//! both through `dp_absint::analyze_with` directly and through
+//! `dp_verify::verify` — must flag it as an error, while every
 //! untampered builtin design proves clean. Also pins the flow-level
 //! wiring: `FlowResult::absint` after the guarded flow fills the
 //! `absint_*` QoR counters and emits `ABSINT-*` provenance events.
@@ -54,22 +54,21 @@ fn lying_ic_bound_is_flagged_for_every_design_and_seed() {
     }
 }
 
-/// The same catch through the dp-verify pass registry: a `Context` with
-/// tampered `ic_overrides` yields an `A002` error from the default
-/// verifier, and the report turns red.
+/// The same catch through `dp_verify::verify`: a `Context` with tampered
+/// `ic_overrides` yields an `A002` error, and the report turns red.
 #[test]
 fn verifier_reports_a002_for_a_corrupted_ic_bound() {
     let t = &all_designs()[0];
     let (overrides, _) = lying_overrides(&t.dfg, 42);
 
-    let clean_report = Verifier::default().run(&Context::new(&t.dfg));
+    let clean_report = verify(&Context::new(&t.dfg));
     assert!(
         !clean_report.diagnostics().iter().any(|d| d.code == Code::A002),
         "untampered context must not raise A002"
     );
 
     let cx = Context::new(&t.dfg).ic_overrides(&overrides);
-    let report = Verifier::default().run(&cx);
+    let report = verify(&cx);
     assert!(report.has_errors(), "{}", report.summary());
     assert!(
         report.diagnostics().iter().any(|d| d.code == Code::A002),
