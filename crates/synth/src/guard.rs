@@ -452,6 +452,7 @@ fn drive(
                     transform = TransformReport { converged: true, ..TransformReport::default() };
                     clustering = cluster_none(&graph);
                     raw = true;
+                    verdicts.graph = None;
                     tr.emit(Rule::FallbackRaw, subject, abandoned, graph.total_op_width());
                     report.push("netlist", reason, Fallback::Raw);
                     if let Some(m) = merge.as_mut() {
@@ -465,10 +466,9 @@ fn drive(
     };
     rec.finish(whole);
     let (netlist, csa) = outcome?;
-    // The graph verdict holds only for the graph shipped, at the
-    // strictness shipped: not after a retreat to the raw design, nor, when
-    // it was strict, after any later retreat.
-    if raw || (at_fixpoint && !report.steps.is_empty()) {
+    // A strict graph verdict holds only for an undegraded flow: after any
+    // later retreat the flow ships leniently checked artifacts.
+    if at_fixpoint && !report.steps.is_empty() {
         verdicts.graph = None;
     }
 

@@ -806,15 +806,13 @@ fn run_analyze(args: &Args) -> Result<bool, FlowError> {
             if let Some(what) = &injected {
                 row = row.field("injected", what.as_str());
             }
+            let errors = report
+                .findings
+                .iter()
+                .filter(|f| finding_code(f.kind).severity() == Severity::Error)
+                .count();
             rows.push(
-                row.field("counters", counters).field("findings", findings).field(
-                    "errors",
-                    report
-                        .findings
-                        .iter()
-                        .filter(|f| finding_code(f.kind).severity() == Severity::Error)
-                        .count(),
-                ),
+                row.field("counters", counters).field("findings", findings).field("errors", errors),
             );
         } else {
             if let Some(what) = &injected {
