@@ -24,9 +24,10 @@
 //!    flow descends the same ladder: singleton clusters first, then the
 //!    raw design.
 //!
-//! Both differential audits share one [`Equiv`] oracle. The `dp_verify`
-//! reports of the shipped graph and clustering travel with the result as
-//! [`GuardedFlow::verdicts`], so the post-flow audit does not repeat them.
+//! Both differential audits share one [`Equiv`] oracle. For a flow that
+//! did not degrade, the `dp_verify` reports of its graph and clustering
+//! travel with the result as [`GuardedFlow::verdicts`], so the post-flow
+//! audit does not repeat them.
 //!
 //! Every retreat is recorded as a [`Degradation`] step in a
 //! [`DegradationReport`], mirrored into
@@ -188,9 +189,9 @@ pub struct GuardedFlow {
     pub flow: FlowResult,
     /// The retreats taken, or `None` for a fully healthy run.
     pub degradation: Option<DegradationReport>,
-    /// The `dp_verify` reports of the graph and clustering audits whose
-    /// artifact shipped at the strictness it was audited at: strict only
-    /// for a new-merge flow that did not degrade.
+    /// The `dp_verify` reports of the guard's graph and clustering audits,
+    /// for a flow that did not degrade; empty for a degraded one, whose
+    /// shipped artifacts the post-flow audit checks afresh.
     pub verdicts: Verdicts,
 }
 
@@ -364,17 +365,13 @@ fn drive(
                 graph = g.clone();
                 transform = optimize_widths_rp_only_with(&mut graph, tr);
                 tr.emit(Rule::FallbackRpOnly, subject, abandoned, graph.total_op_width());
-                match audit_widths(g, &graph, &transform, &oracle, false) {
-                    Ok(verdict) => verdicts.graph = Some(verdict),
-                    Err(reason) => {
-                        let abandoned = graph.total_op_width();
-                        report.push("widths", reason, Fallback::Raw);
-                        graph = g.clone();
-                        transform =
-                            TransformReport { converged: true, ..TransformReport::default() };
-                        raw = true;
-                        tr.emit(Rule::FallbackRaw, subject, abandoned, graph.total_op_width());
-                    }
+                if let Err(reason) = audit_widths(g, &graph, &transform, &oracle, false) {
+                    let abandoned = graph.total_op_width();
+                    report.push("widths", reason, Fallback::Raw);
+                    graph = g.clone();
+                    transform = TransformReport { converged: true, ..TransformReport::default() };
+                    raw = true;
+                    tr.emit(Rule::FallbackRaw, subject, abandoned, graph.total_op_width());
                 }
             }
         }
@@ -437,7 +434,6 @@ fn drive(
             Err(e) => {
                 let reason = e.to_string();
                 let singleton = clustering.clusters.iter().all(|c| c.len() == 1);
-                verdicts.clustering = None;
                 if !singleton {
                     let abandoned = clustering.len();
                     clustering = cluster_none(&graph);
@@ -452,7 +448,6 @@ fn drive(
                     transform = TransformReport { converged: true, ..TransformReport::default() };
                     clustering = cluster_none(&graph);
                     raw = true;
-                    verdicts.graph = None;
                     tr.emit(Rule::FallbackRaw, subject, abandoned, graph.total_op_width());
                     report.push("netlist", reason, Fallback::Raw);
                     if let Some(m) = merge.as_mut() {
@@ -466,10 +461,10 @@ fn drive(
     };
     rec.finish(whole);
     let (netlist, csa) = outcome?;
-    // A strict graph verdict holds only for an undegraded flow: after any
-    // later retreat the flow ships leniently checked artifacts.
-    if at_fixpoint && !report.steps.is_empty() {
-        verdicts.graph = None;
+    // A degraded flow ships fallback or leniently checked artifacts: the
+    // post-flow audit checks them afresh.
+    if !report.steps.is_empty() {
+        verdicts = Verdicts::default();
     }
 
     let (node_width_after, edge_width_after) = widths(&graph);

@@ -36,9 +36,8 @@ impl fmt::Display for Severity {
 /// Families: `V` structural validity, `R` required precision, `I`
 /// information content, `C` cluster legality, `N` netlist consistency,
 /// `A` abstract-interpretation cross-checks.
-/// Each code has a fixed [`Severity`] so tooling can rely on it. Codes
-/// order by family in that sequence, then by number.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// Each code has a fixed [`Severity`] so tooling can rely on it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(clippy::upper_case_acronyms)]
 pub enum Code {
     /// The graph contains a directed cycle.
@@ -155,7 +154,7 @@ impl Code {
     pub(crate) fn family(self) -> usize {
         [Code::R001, Code::I001, Code::C001, Code::N001, Code::A001]
             .iter()
-            .filter(|&&first| first <= self)
+            .filter(|&&first| first as usize <= self as usize)
             .count()
     }
 

@@ -175,19 +175,11 @@ const CHECKS: [(&str, Artifact, Check); 5] = [
 /// Runs the checks of the artifacts `audit` selects, in run order, with
 /// one span per check. On a structurally invalid graph only the
 /// structural check runs: analysis on a cyclic or mis-ported graph would
-/// panic, and the `V0xx` diagnostics already tell the story. `graph` is
-/// an earlier audit of the graph, whose `V0xx` findings settle validity.
-fn run(
-    cx: &Context<'_>,
-    audit: impl Fn(Artifact) -> bool,
-    graph: Option<&VerifyReport>,
-    rec: &mut Recorder,
-) -> Vec<Diagnostic> {
+/// panic, and the `V0xx` diagnostics already tell the story.
+fn run(cx: &Context<'_>, audit: impl Fn(Artifact) -> bool, rec: &mut Recorder) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let valid = if audit(Artifact::Graph) {
         rec.scope("structural", |_| passes::structural::check(cx, &mut out))
-    } else if let Some(verdict) = graph {
-        !verdict.diagnostics.iter().any(|d| d.code.family() == 0)
     } else {
         cx.graph.validate().is_ok()
     };
@@ -205,13 +197,13 @@ fn run(
 /// information-content soundness, and the abstract-interpretation
 /// cross-checks.
 pub fn verify_graph(cx: &Context<'_>) -> VerifyReport {
-    VerifyReport::new(run(cx, |a| a == Artifact::Graph, None, &mut Recorder::disabled()))
+    VerifyReport::new(run(cx, |a| a == Artifact::Graph, &mut Recorder::disabled()))
 }
 
 /// Audits the clustering (`C0xx`); reports nothing for a context without
 /// one.
 pub fn verify_clustering(cx: &Context<'_>) -> VerifyReport {
-    VerifyReport::new(run(cx, |a| a == Artifact::Clustering, None, &mut Recorder::disabled()))
+    VerifyReport::new(run(cx, |a| a == Artifact::Clustering, &mut Recorder::disabled()))
 }
 
 /// The reports of audits already run on a context's graph and clustering,
@@ -237,7 +229,6 @@ pub fn verify_with(cx: &Context<'_>, verdicts: &Verdicts, rec: &mut Recorder) ->
             Artifact::Clustering => verdicts.clustering.is_none(),
             Artifact::Netlist => true,
         },
-        verdicts.graph.as_ref(),
         rec,
     );
     rec.finish(whole);
@@ -358,25 +349,5 @@ mod tests {
         assert_eq!(verify_with(&cx, &verdicts, &mut rec).diagnostics(), full.diagnostics());
         let spans: Vec<&str> = rec.records().iter().map(|r| r.name()).collect();
         assert_eq!(spans, ["verify", "netlist"]);
-    }
-
-    /// A graph verdict with `V0xx` findings settles that the graph is
-    /// invalid: the netlist check is skipped, as in a full audit.
-    #[test]
-    fn an_invalid_graph_verdict_skips_the_other_checks() {
-        let mut g = Dfg::new();
-        let a = g.input("a", 4);
-        let n = g.op(OpKind::Add, 4, &[(a, Unsigned), (a, Unsigned)]);
-        g.connect(n, n, 0, 4, Unsigned); // cycle + arity defect
-        let mut nl = Netlist::new();
-        let bits = nl.input("a", 4);
-        nl.output("o", vec![bits[0]]);
-
-        let cx = Context::new(&g).netlist(&nl);
-        let verdicts = Verdicts { graph: Some(verify_graph(&cx)), clustering: None };
-        let report = verify_with(&cx, &verdicts, &mut Recorder::disabled());
-        assert_eq!(report.diagnostics(), verify(&cx).diagnostics());
-        assert!(report.has_code(Code::V001), "{report:?}");
-        assert!(report.diagnostics().iter().all(|d| d.code.family() == 0), "{report:?}");
     }
 }

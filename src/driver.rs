@@ -131,10 +131,10 @@ fn run_reported(
 /// `sta`), then the dp-verify audit of the final artifacts against the
 /// input design `g`. The audit runs only what the guard did not: the
 /// finished netlist, plus the graph or clustering when the guard holds no
-/// verdict for it at the strictness it shipped at (an old-merge or
-/// no-merge graph, an artifact a fallback replaced). As in the guard, the
-/// strict post-fixpoint checks are armed only for a new-merge flow that
-/// did not degrade. `dpmc bench`, `dpmc profile` and `dpmc lint` run it.
+/// verdict for it (an old-merge or no-merge graph, every artifact of a
+/// degraded flow). As in the guard, the strict post-fixpoint checks are
+/// armed only for a new-merge flow that did not degrade. `dpmc bench`,
+/// `dpmc profile` and `dpmc lint` run it.
 ///
 /// # Errors
 ///
